@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzTraceContext -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzReplMessages -fuzztime 30s
 	$(GO) test ./internal/sqlval -fuzz FuzzDecode -fuzztime 30s
+	$(GO) test ./internal/sqlval -fuzz FuzzKey -fuzztime 30s
 	$(GO) test ./internal/engine -fuzz FuzzWALDecode -fuzztime 30s
 	$(GO) test ./internal/engine -fuzz FuzzWALScan -fuzztime 30s
 	$(GO) test ./internal/ops -fuzz FuzzTracesHandler -fuzztime 30s
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sqlparse -fuzz FuzzParse -fuzztime 5s
 	$(GO) test ./internal/sqlparse -fuzz FuzzAsOf -fuzztime 5s
 	$(GO) test ./internal/wire -fuzz FuzzRead -fuzztime 5s
+	$(GO) test ./internal/sqlval -fuzz FuzzKey -fuzztime 5s
 	$(GO) test ./internal/engine -fuzz FuzzWALDecode -fuzztime 5s
 
 # WAL overhead and recovery-time measurements (EXPERIMENTS.md "Durability").

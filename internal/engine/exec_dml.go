@@ -146,7 +146,12 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, opts ExecOptions, res *Result)
 	if err := ec.resolveDMLSubqueries(&s, opts, res); err != nil {
 		return err
 	}
-	en, matches, err := ec.matchRows(t, s.Where)
+	setExprs := make([]sqlparse.Expr, len(s.Set))
+	for i, a := range s.Set {
+		setExprs[i] = a.Expr
+	}
+	prov := namesProv(append(setExprs, s.Where)...)
+	en, matches, err := ec.matchRows(t, s.Where, prov)
 	if err != nil {
 		return err
 	}
@@ -176,7 +181,7 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, opts ExecOptions, res *Result)
 			r.usedBy.Store(res.StmtID)
 		}
 		newVals := append([]sqlval.Value(nil), r.vals...)
-		envVals := rowEnvVals(r, len(t.Schema.Columns))
+		envVals := rowVals(r, prov)
 		for i, a := range s.Set {
 			v, err := evalExpr(a.Expr, en, envVals, nil)
 			if err != nil {
@@ -236,7 +241,7 @@ func (ec *stmtCtx) execDelete(s *sqlparse.Delete, opts ExecOptions, res *Result)
 	if err := ec.resolveDeleteSubqueries(&s, opts, res); err != nil {
 		return err
 	}
-	_, matches, err := ec.matchRows(t, s.Where)
+	_, matches, err := ec.matchRows(t, s.Where, namesProv(s.Where))
 	if err != nil {
 		return err
 	}
@@ -278,14 +283,14 @@ func (ec *stmtCtx) execDelete(s *sqlparse.Delete, opts ExecOptions, res *Result)
 // Because an index holds *every* version carrying a key (end-marked ones
 // included) and the full WHERE clause is still evaluated on each candidate,
 // both the match set and the conflict detection are exactly what a full
-// scan would produce.
-func (ec *stmtCtx) matchRows(t *Table, where sqlparse.Expr) (*env, []*storedRow, error) {
-	en := &env{params: ec.params}
-	for _, c := range t.Schema.Columns {
-		en.bindings = append(en.bindings, binding{table: t.Name, name: c.Name})
-	}
-	for _, pc := range []string{ColProvRowID, ColProvV, ColProvP, ColProvUsedBy} {
-		en.bindings = append(en.bindings, binding{table: t.Name, name: pc})
+// scan would produce. The WHERE clause is checked on each candidate's stored
+// values in place; prov (the statement names a provenance column) selects
+// the layout with the hidden provenance attributes instead.
+func (ec *stmtCtx) matchRows(t *Table, where sqlparse.Expr, prov bool) (*env, []*storedRow, error) {
+	en := layoutEnv(t.Schema.Columns, t.Name, prov, ec.params)
+	var conj []sqlparse.Expr
+	if where != nil {
+		conj = []sqlparse.Expr{where}
 	}
 
 	access, est := plan.PlanAccess(stmtCatalog{ec}, t.Name, where)
@@ -325,14 +330,11 @@ func (ec *stmtCtx) matchRows(t *Table, where sqlparse.Expr) (*env, []*storedRow,
 				}
 				conflict = true // end-marked by a concurrent uncommitted txn
 			}
-			if where != nil {
-				v, err := evalExpr(where, en, rowEnvVals(r, len(t.Schema.Columns)), nil)
+			if ok, err := holds(conj, &en, rowVals(r, prov)); !ok {
 				if err != nil {
 					return err
 				}
-				if !isTrue(v) {
-					continue
-				}
+				continue
 			}
 			if conflict {
 				return fmt.Errorf("could not serialize access due to concurrent update on table %s", t.Name)
@@ -350,17 +352,5 @@ func (ec *stmtCtx) matchRows(t *Table, where sqlparse.Expr) (*env, []*storedRow,
 	} else if err := match(); err != nil {
 		return nil, nil, err
 	}
-	return en, matches, nil
-}
-
-// rowEnvVals lays out a stored row as executor values including the hidden
-// provenance attributes.
-func rowEnvVals(r *storedRow, ncols int) []sqlval.Value {
-	vals := make([]sqlval.Value, ncols+4)
-	copy(vals, r.vals)
-	vals[ncols] = sqlval.NewInt(int64(r.id))
-	vals[ncols+1] = sqlval.NewInt(int64(r.version))
-	vals[ncols+2] = sqlval.NewString(r.proc)
-	vals[ncols+3] = sqlval.NewInt(r.usedBy.Load())
-	return vals
+	return &en, matches, nil
 }

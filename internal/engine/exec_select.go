@@ -34,14 +34,8 @@ func (ec *stmtCtx) execSelect(s *sqlparse.Select, opts ExecOptions, res *Result)
 		}
 		s = ns
 	}
-	// collect records the scanned storedRow per tuple ref; values are
-	// copied out only for refs that survive into the final Lineage (rows
-	// cannot change mid-statement, so the references stay valid).
-	var collect map[TupleRef]*storedRow
-	if withLineage {
-		collect = map[TupleRef]*storedRow{}
-	}
-	rel, err := ec.runSelect(s, withLineage, res.StmtID, collect)
+	sc := &scanCtx{lineage: withLineage, prov: selectNamesProv(s), stmtID: res.StmtID}
+	rel, err := ec.runSelect(s, sc)
 	if err != nil {
 		return err
 	}
@@ -75,9 +69,10 @@ func (ec *stmtCtx) execSelect(s *sqlparse.Select, opts ExecOptions, res *Result)
 			}
 		}
 		res.TupleValues = map[TupleRef][]sqlval.Value{}
-		for ref := range used {
-			if r, ok := collect[ref]; ok {
-				res.TupleValues[ref] = append([]sqlval.Value(nil), r.vals...)
+		for _, src := range sc.sources {
+			if used[src.ref] {
+				delete(used, src.ref) // a self-join scans a version twice
+				res.TupleValues[src.ref] = append([]sqlval.Value(nil), src.row.vals...)
 			}
 		}
 		if subState != nil {
@@ -133,19 +128,15 @@ func newSelPlan(tree *plan.Tree) *selPlan {
 // the pre-projection relation (post-aggregation for aggregate queries, with
 // aggregate values stashed per tuple via aggRelation). The plan is kept on
 // ec.sel so the projection stages can report their estimates.
-func (ec *stmtCtx) runSelect(s *sqlparse.Select, withLineage bool, stmtID int64, collect map[TupleRef]*storedRow) (*aggRelation, error) {
+func (ec *stmtCtx) runSelect(s *sqlparse.Select, sc *scanCtx) (*aggRelation, error) {
 	if len(s.From) == 0 {
 		// Table-less SELECT (e.g. SELECT 1+1): a single empty tuple.
 		ec.sel = newSelPlan(plan.PlanSelect(stmtCatalog{ec}, s))
 		return &aggRelation{rel: relation{env: env{params: ec.params}, tuples: []tuple{{}}}}, nil
 	}
 
-	refs := append([]sqlparse.TableRef(nil), s.From...)
-	for _, j := range s.Joins {
-		refs = append(refs, j.Table)
-	}
 	seen := map[string]bool{}
-	for _, r := range refs {
+	for _, r := range fromRefs(s) {
 		name := r.EffectiveName()
 		if seen[name] {
 			return nil, fmt.Errorf("duplicate table name or alias %q", name)
@@ -155,14 +146,9 @@ func (ec *stmtCtx) runSelect(s *sqlparse.Select, withLineage bool, stmtID int64,
 
 	sp := newSelPlan(ec.selectPlan(s))
 	ec.sel = sp
-	cur, err := ec.execAccess(sp.access, withLineage, stmtID, collect)
+	cur, err := ec.execAccess(sp.access, sc)
 	if err != nil {
 		return nil, err
-	}
-	if sp.tree.Reordered {
-		// The greedy join order built the tuple layout in cost order;
-		// restore the syntactic FROM order so SELECT * stays stable.
-		cur = reorderRelation(cur, refs)
 	}
 
 	var ar *aggRelation
@@ -183,61 +169,82 @@ func (ec *stmtCtx) runSelect(s *sqlparse.Select, withLineage bool, stmtID int64,
 	return ar, nil
 }
 
+// scanCtx carries what a SELECT block's scans need beyond their plan
+// nodes. lineage makes each scan stamp prov_usedby and record every source
+// version it emits in sources (values are copied out only for refs that
+// survive into the final Lineage; rows cannot change mid-statement, so the
+// references stay valid). prov is whether the block itself names a hidden
+// provenance column; it is decided per block, because an uncorrelated
+// subquery runs its own execSelect inside the outer statement's context.
+type scanCtx struct {
+	lineage bool
+	prov    bool
+	stmtID  int64
+	sources []sourceRow
+}
+
+// sourceRow is one stored version a lineage scan emitted.
+type sourceRow struct {
+	ref TupleRef
+	row *storedRow
+}
+
+// selectNamesProv reports whether a SELECT block names a hidden provenance
+// column in its items, WHERE, JOIN ON, GROUP BY, HAVING or ORDER BY
+// (subqueries are already resolved to literals). SELECT * never expands to
+// them.
+func selectNamesProv(s *sqlparse.Select) bool {
+	exprs := append([]sqlparse.Expr{s.Where, s.Having}, s.GroupBy...)
+	for _, it := range s.Items {
+		exprs = append(exprs, it.Expr)
+	}
+	for _, j := range s.Joins {
+		exprs = append(exprs, j.On)
+	}
+	for _, o := range s.OrderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	return namesProv(exprs...)
+}
+
+// namesProv reports whether any expression references a hidden provenance
+// column.
+func namesProv(exprs ...sqlparse.Expr) bool {
+	var refs []*sqlparse.ColumnRef
+	for _, e := range exprs {
+		columnRefs(e, &refs)
+	}
+	for _, r := range refs {
+		if IsProvColumn(r.Column) {
+			return true
+		}
+	}
+	return false
+}
+
 // execAccess executes a relational plan subtree (scans, index scans,
-// filters, hash joins), materializing its relation.
-func (ec *stmtCtx) execAccess(n plan.Node, withLineage bool, stmtID int64, collect map[TupleRef]*storedRow) (relation, error) {
+// filters, hash joins), materializing its relation. A filter directly above
+// a scan or index scan is fused into it.
+func (ec *stmtCtx) execAccess(n plan.Node, sc *scanCtx) (relation, error) {
 	switch node := n.(type) {
-	case *plan.ScanNode:
-		var rel relation
-		err := ec.ops.execEst("scan", node.Detail(), node.Est, func() (int, error) {
-			var serr error
-			rel, serr = ec.scanTable(planTableRef(node.Table, node.As), withLineage, stmtID, collect)
-			return len(rel.tuples), serr
-		})
-		return rel, err
-	case *plan.IndexScanNode:
-		var rel relation
-		err := ec.ops.execEst("index_scan", node.Detail(), node.Est, func() (int, error) {
-			var serr error
-			rel, serr = ec.scanIndex(node, withLineage, stmtID, collect)
-			return len(rel.tuples), serr
-		})
-		return rel, err
+	case *plan.ScanNode, *plan.IndexScanNode:
+		return ec.scan(node, nil, sc)
 	case *plan.FilterNode:
-		rel, err := ec.execAccess(node.Input, withLineage, stmtID, collect)
+		switch node.Input.(type) {
+		case *plan.ScanNode, *plan.IndexScanNode:
+			return ec.scan(node.Input, node, sc)
+		}
+		rel, err := ec.execAccess(node.Input, sc)
 		if err != nil {
 			return relation{}, err
 		}
-		if !node.Resolved {
-			// The planner could not prove these conjuncts bind; validate
-			// them now so semantic errors surface even on empty inputs.
-			for _, c := range node.Conjuncts {
-				var aggs []*sqlparse.FuncExpr
-				collectAggregates(c, &aggs)
-				if len(aggs) > 0 {
-					return relation{}, fmt.Errorf("aggregates are not allowed in WHERE")
-				}
-				var crs []*sqlparse.ColumnRef
-				columnRefs(c, &crs)
-				for _, r := range crs {
-					if _, err := rel.env.resolve(r); err != nil {
-						return relation{}, err
-					}
-				}
-			}
-		}
-		out := rel
-		_ = ec.ops.execEst("filter", node.Detail(), node.Est, func() (int, error) {
-			out = filter(rel, node.Conjuncts)
-			return len(out.tuples), nil
-		})
-		return out, nil
+		return ec.execFilter(rel, node)
 	case *plan.HashJoinNode:
-		left, err := ec.execAccess(node.Left, withLineage, stmtID, collect)
+		left, err := ec.execAccess(node.Left, sc)
 		if err != nil {
 			return relation{}, err
 		}
-		right, err := ec.execAccess(node.Right, withLineage, stmtID, collect)
+		right, err := ec.execAccess(node.Right, sc)
 		if err != nil {
 			return relation{}, err
 		}
@@ -252,184 +259,193 @@ func (ec *stmtCtx) execAccess(n plan.Node, withLineage bool, stmtID int64, colle
 	return relation{}, fmt.Errorf("unsupported plan node %T", n)
 }
 
-// planTableRef reconstructs the parser-level table reference a plan leaf
-// was built from.
-func planTableRef(table, as string) sqlparse.TableRef {
-	ref := sqlparse.TableRef{Name: table}
-	if as != table {
-		ref.Alias = as
+// scan is the engine's one scan routine for SELECT. It walks a table's
+// candidate versions (every version for a scan, the matching index buckets
+// for an index scan), applies snapshot visibility, and evaluates the fused
+// filter f (nil = none) on each visible version's stored values in place,
+// building a tuple only for versions that pass. In lineage mode every
+// visible version is stamped with prov_usedby, including versions the
+// filter drops: that is the versioning write the paper charges to audit
+// overhead (§IX-B), atomic because the scan holds only the read lock.
+func (ec *stmtCtx) scan(leaf plan.Node, f *plan.FilterNode, sc *scanCtx) (relation, error) {
+	var table, as string
+	isn, _ := leaf.(*plan.IndexScanNode)
+	if isn != nil {
+		table, as = isn.Table, isn.As
+	} else {
+		sn := leaf.(*plan.ScanNode)
+		table, as = sn.Table, sn.As
 	}
-	return ref
-}
-
-// reorderRelation permutes a joined relation's per-leaf binding blocks back
-// to the syntactic FROM order. Each leaf contributed one contiguous block
-// of bindings qualified by its effective name, so the permutation moves
-// whole blocks.
-func reorderRelation(rel relation, refs []sqlparse.TableRef) relation {
-	type block struct{ start, end int }
-	blocks := map[string]block{}
-	for i := 0; i < len(rel.env.bindings); {
-		j := i
-		name := rel.env.bindings[i].table
-		for j < len(rel.env.bindings) && rel.env.bindings[j].table == name {
-			j++
-		}
-		blocks[name] = block{start: i, end: j}
-		i = j
-	}
-	perm := make([]int, 0, len(rel.env.bindings))
-	bindings := make([]binding, 0, len(rel.env.bindings))
-	for _, r := range refs {
-		b, ok := blocks[r.EffectiveName()]
-		if !ok {
-			return rel
-		}
-		for i := b.start; i < b.end; i++ {
-			perm = append(perm, i)
-			bindings = append(bindings, rel.env.bindings[i])
-		}
-	}
-	if len(perm) != len(rel.env.bindings) {
-		return rel
-	}
-	out := relation{env: env{bindings: bindings, params: rel.env.params}, tuples: make([]tuple, len(rel.tuples))}
-	for ti, t := range rel.tuples {
-		vals := make([]sqlval.Value, len(perm))
-		for i, p := range perm {
-			vals[i] = t.vals[p]
-		}
-		out.tuples[ti] = tuple{vals: vals, lineage: t.lineage}
-	}
-	return out
-}
-
-func filter(rel relation, conjuncts []sqlparse.Expr) relation {
-	out := rel.tuples[:0:0]
-	for _, t := range rel.tuples {
-		keep := true
-		for _, c := range conjuncts {
-			v, err := evalExpr(c, &rel.env, t.vals, nil)
-			if err != nil || !isTrue(v) {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, t)
-		}
-	}
-	rel.tuples = out
-	return rel
-}
-
-// scanTable materializes the snapshot-visible versions of a table as a
-// relation. The tuple layout is the table's columns followed by the four
-// hidden provenance attributes, all qualified by the effective (aliased)
-// table name. In lineage mode each tuple starts with itself as lineage and
-// the scan stamps prov_usedby — the versioning write the paper charges to
-// audit overhead (§IX-B). The stamp is atomic because the scan holds only
-// the table's read lock.
-func (ec *stmtCtx) scanTable(ref sqlparse.TableRef, withLineage bool, stmtID int64, collect map[TupleRef]*storedRow) (relation, error) {
-	t, err := ec.table(ref.Name)
+	t, err := ec.table(table)
 	if err != nil {
 		// Unknown names fall back to the system-view registry: virtual
 		// tables never appear in the lock footprint (lockTables skips
 		// unresolved names) and take no locks of their own.
-		if vt := ec.db.virtualTable(ref.Name); vt != nil {
-			return ec.scanVirtual(vt, ref), nil
+		vt := ec.db.virtualTable(table)
+		if vt == nil {
+			return relation{}, err
 		}
-		return relation{}, err
-	}
-	name := ref.EffectiveName()
-	rel := relation{env: env{params: ec.params}}
-	for _, c := range t.Schema.Columns {
-		rel.env.bindings = append(rel.env.bindings, binding{table: name, name: c.Name})
-	}
-	for _, pc := range []string{ColProvRowID, ColProvV, ColProvP, ColProvUsedBy} {
-		rel.env.bindings = append(rel.env.bindings, binding{table: name, name: pc})
-	}
-	ncols := len(t.Schema.Columns)
-	mRowsScanned.Add(int64(len(t.rows)))
-	rel.tuples = make([]tuple, 0, len(t.rows))
-	for _, r := range t.rows {
-		if !ec.snap.visible(r) {
-			continue
+		var rel relation
+		_ = ec.ops.execEst(leaf.Op(), leaf.Detail(), leaf.EstRows(), func() (int, error) {
+			rel = ec.scanVirtual(vt, as, sc.prov)
+			return len(rel.tuples), nil
+		})
+		if f == nil {
+			return rel, nil
 		}
-		vals := make([]sqlval.Value, ncols+4)
-		copy(vals, r.vals)
-		if withLineage {
-			r.usedBy.Store(stmtID)
-			if collect != nil {
-				collect[r.ref(t.Name)] = r
+		return ec.execFilter(rel, f)
+	}
+	rel := relation{env: layoutEnv(t.Schema.Columns, as, sc.prov, ec.params)}
+	var conj []sqlparse.Expr
+	if f != nil {
+		if err := checkConjuncts(f, &rel.env); err != nil {
+			return relation{}, err
+		}
+		conj = f.Conjuncts
+	}
+	_ = ec.ops.execEst(leaf.Op(), leaf.Detail(), leaf.EstRows(), func() (int, error) {
+		cand := t.rows
+		if isn != nil {
+			// A vanished index (impossible while the statement holds the
+			// table lock) degrades to a full scan.
+			if ix := t.findIndex(isn.Index); ix != nil {
+				cand = indexCandidates(ix, isn, ec.params)
+				ix.scans.Add(1)
 			}
 		}
-		vals[ncols] = sqlval.NewInt(int64(r.id))
-		vals[ncols+1] = sqlval.NewInt(int64(r.version))
-		vals[ncols+2] = sqlval.NewString(r.proc)
-		vals[ncols+3] = sqlval.NewInt(r.usedBy.Load())
-		tp := tuple{vals: vals}
-		if withLineage {
-			tp.lineage = []TupleRef{r.ref(t.Name)}
+		mRowsScanned.Add(int64(len(cand)))
+		if len(conj) == 0 {
+			rel.tuples = make([]tuple, 0, len(cand))
 		}
-		rel.tuples = append(rel.tuples, tp)
+		visible := 0
+		for _, r := range cand {
+			if !ec.snap.visible(r) {
+				continue
+			}
+			visible++
+			if sc.lineage {
+				r.usedBy.Store(sc.stmtID)
+			}
+			vals := rowVals(r, sc.prov)
+			if ok, _ := holds(conj, &rel.env, vals); !ok {
+				continue
+			}
+			tp := tuple{vals: vals}
+			if sc.lineage {
+				ref := r.ref(t.Name)
+				tp.lineage = []TupleRef{ref}
+				sc.sources = append(sc.sources, sourceRow{ref, r})
+			}
+			rel.tuples = append(rel.tuples, tp)
+		}
+		return visible, nil
+	})
+	if f != nil && ec.ops != nil {
+		// Fused: the filter's time is in the scan's record (see explain.go).
+		ec.ops.recs = append(ec.ops.recs, opRecord{op: "filter", detail: f.Detail(), est: f.Est, rows: len(rel.tuples)})
 	}
 	return rel, nil
 }
 
-// scanIndex materializes the snapshot-visible versions reached through a
-// secondary-index predicate. The tuple layout matches scanTable exactly;
-// only the candidate set differs — the index narrows it to the buckets
-// matching the predicate, and the residual filter above re-checks every
-// pushed conjunct, so the result is a full scan restricted to the matching
-// keys.
-func (ec *stmtCtx) scanIndex(node *plan.IndexScanNode, withLineage bool, stmtID int64, collect map[TupleRef]*storedRow) (relation, error) {
-	t, err := ec.table(node.Table)
-	if err != nil {
-		return relation{}, err
+// layoutEnv binds a scanned table's tuple layout: its columns, then the
+// four hidden provenance attributes if prov, all qualified by the
+// effective (aliased) table name.
+func layoutEnv(cols []Column, name string, prov bool, params []sqlval.Value) env {
+	en := env{bindings: make([]binding, 0, len(cols)+4), params: params}
+	for _, c := range cols {
+		en.bindings = append(en.bindings, binding{table: name, name: c.Name})
 	}
-	ix := t.findIndex(node.Index)
-	if ix == nil {
-		// The index vanished between planning and execution — impossible
-		// while the statement holds the table lock, but degrade safely.
-		return ec.scanTable(planTableRef(node.Table, node.As), withLineage, stmtID, collect)
-	}
-	name := node.As
-	rel := relation{env: env{params: ec.params}}
-	for _, c := range t.Schema.Columns {
-		rel.env.bindings = append(rel.env.bindings, binding{table: name, name: c.Name})
-	}
-	for _, pc := range []string{ColProvRowID, ColProvV, ColProvP, ColProvUsedBy} {
-		rel.env.bindings = append(rel.env.bindings, binding{table: name, name: pc})
-	}
-	ncols := len(t.Schema.Columns)
-	cand := indexCandidates(ix, node, ec.params)
-	ix.scans.Add(1)
-	mRowsScanned.Add(int64(len(cand)))
-	rel.tuples = make([]tuple, 0, len(cand))
-	for _, r := range cand {
-		if !ec.snap.visible(r) {
-			continue
+	if prov {
+		for _, pc := range []string{ColProvRowID, ColProvV, ColProvP, ColProvUsedBy} {
+			en.bindings = append(en.bindings, binding{table: name, name: pc})
 		}
-		vals := make([]sqlval.Value, ncols+4)
-		copy(vals, r.vals)
-		if withLineage {
-			r.usedBy.Store(stmtID)
-			if collect != nil {
-				collect[r.ref(t.Name)] = r
+	}
+	return en
+}
+
+// rowVals returns a stored version's values in layoutEnv's layout. Without
+// provenance columns that is the stored slice itself, shared with no copy:
+// a version's values are never mutated after insertRow publishes it (an
+// UPDATE appends a successor version), and everything that hands rows out
+// (project, hash-join combine, TupleValues) allocates its own slices. With
+// them, it is a copy with the four attributes appended.
+func rowVals(r *storedRow, prov bool) []sqlval.Value {
+	if !prov {
+		return r.vals
+	}
+	n := len(r.vals)
+	vals := make([]sqlval.Value, n+4)
+	copy(vals, r.vals)
+	vals[n] = sqlval.NewInt(int64(r.id))
+	vals[n+1] = sqlval.NewInt(int64(r.version))
+	vals[n+2] = sqlval.NewString(r.proc)
+	vals[n+3] = sqlval.NewInt(r.usedBy.Load())
+	return vals
+}
+
+// holds evaluates conjuncts on one tuple, stopping at the first that is
+// false, NULL or fails to evaluate.
+func holds(conj []sqlparse.Expr, en *env, vals []sqlval.Value) (bool, error) {
+	for _, c := range conj {
+		v, err := evalExpr(c, en, vals, nil)
+		if err != nil || !isTrue(v) {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// checkConjuncts validates an unresolved filter's conjuncts against the
+// layout they will run on, so that semantic errors surface even on empty
+// inputs. The planner has already proved a resolved filter's conjuncts
+// bind.
+func checkConjuncts(f *plan.FilterNode, en *env) error {
+	if f.Resolved {
+		return nil
+	}
+	for _, c := range f.Conjuncts {
+		var aggs []*sqlparse.FuncExpr
+		collectAggregates(c, &aggs)
+		if len(aggs) > 0 {
+			return fmt.Errorf("aggregates are not allowed in WHERE")
+		}
+		var crs []*sqlparse.ColumnRef
+		columnRefs(c, &crs)
+		for _, r := range crs {
+			if _, err := en.resolve(r); err != nil {
+				return err
 			}
 		}
-		vals[ncols] = sqlval.NewInt(int64(r.id))
-		vals[ncols+1] = sqlval.NewInt(int64(r.version))
-		vals[ncols+2] = sqlval.NewString(r.proc)
-		vals[ncols+3] = sqlval.NewInt(r.usedBy.Load())
-		tp := tuple{vals: vals}
-		if withLineage {
-			tp.lineage = []TupleRef{r.ref(t.Name)}
-		}
-		rel.tuples = append(rel.tuples, tp)
 	}
+	return nil
+}
+
+// execFilter runs a filter that is not fused into a scan: one above a join
+// or a system view. Rows whose conjuncts fail to evaluate are dropped.
+func (ec *stmtCtx) execFilter(rel relation, f *plan.FilterNode) (relation, error) {
+	if err := checkConjuncts(f, &rel.env); err != nil {
+		return relation{}, err
+	}
+	out := rel.tuples[:0:0]
+	_ = ec.ops.execEst("filter", f.Detail(), f.Est, func() (int, error) {
+		for _, t := range rel.tuples {
+			if ok, _ := holds(f.Conjuncts, &rel.env, t.vals); ok {
+				out = append(out, t)
+			}
+		}
+		return len(out), nil
+	})
+	rel.tuples = out
 	return rel, nil
+}
+
+// fromRefs lists a SELECT's table references in syntactic FROM order.
+func fromRefs(s *sqlparse.Select) []sqlparse.TableRef {
+	refs := append([]sqlparse.TableRef(nil), s.From...)
+	for _, j := range s.Joins {
+		refs = append(refs, j.Table)
+	}
+	return refs
 }
 
 // hashJoin joins two relations on the given key expression lists. With no
@@ -455,20 +471,19 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr) (relati
 		return out, nil
 	}
 
-	keyOf := func(t tuple, en *env, keys []sqlparse.Expr) (string, bool, error) {
-		var sb strings.Builder
+	// keyOf encodes a tuple's join key into buf, reused across tuples (the
+	// probe-side map lookup on string(buf) does not allocate).
+	var buf []byte
+	keyOf := func(t tuple, en *env, keys []sqlparse.Expr) (bool, error) {
+		buf = buf[:0]
 		for _, k := range keys {
 			v, err := evalExpr(k, en, t.vals, nil)
-			if err != nil {
-				return "", false, err
+			if err != nil || v.IsNull() {
+				return false, err // NULL never joins
 			}
-			if v.IsNull() {
-				return "", false, nil // NULL never joins
-			}
-			sb.WriteString(v.GroupKey())
-			sb.WriteByte(0)
+			buf = v.AppendKey(buf)
 		}
-		return sb.String(), true, nil
+		return true, nil
 	}
 
 	// Build on the smaller side.
@@ -481,23 +496,23 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr) (relati
 	}
 	table := make(map[string][]int, len(build.tuples))
 	for i, t := range build.tuples {
-		k, ok, err := keyOf(t, &build.env, buildKeys)
+		ok, err := keyOf(t, &build.env, buildKeys)
 		if err != nil {
 			return relation{}, err
 		}
 		if ok {
-			table[k] = append(table[k], i)
+			table[string(buf)] = append(table[string(buf)], i)
 		}
 	}
 	for _, p := range probe.tuples {
-		k, ok, err := keyOf(p, &probe.env, probeKeys)
+		ok, err := keyOf(p, &probe.env, probeKeys)
 		if err != nil {
 			return relation{}, err
 		}
 		if !ok {
 			continue
 		}
-		for _, bi := range table[k] {
+		for _, bi := range table[string(buf)] {
 			b := build.tuples[bi]
 			if buildRight {
 				out.tuples = append(out.tuples, combine(p, b))
@@ -555,28 +570,30 @@ func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
 	}
 
 	groups := map[string]*group{}
-	var order []string
+	var order []*group
+	var key []byte
 	for _, t := range rel.tuples {
-		var sb strings.Builder
+		key = key[:0]
 		for _, g := range s.GroupBy {
 			v, err := evalExpr(g, &rel.env, t.vals, nil)
 			if err != nil {
 				return nil, err
 			}
-			sb.WriteString(v.GroupKey())
-			sb.WriteByte(0)
+			key = v.AppendKey(key)
 		}
-		key := sb.String()
-		grp, ok := groups[key]
+		grp, ok := groups[string(key)]
 		if !ok {
-			grp = &group{rep: t, accs: newAccs(), linSeen: map[TupleRef]bool{}}
-			groups[key] = grp
-			order = append(order, key)
+			grp = &group{rep: t, accs: newAccs()}
+			groups[string(key)] = grp
+			order = append(order, grp)
 		}
 		// Accumulate lineage with a per-group set: repeated mergeLineage
 		// calls would be quadratic in the group size (fatal for global
 		// aggregates like Q3's count(*), whose single group spans the whole
 		// join result).
+		if len(t.lineage) > 0 && grp.linSeen == nil {
+			grp.linSeen = map[TupleRef]bool{}
+		}
 		for _, ref := range t.lineage {
 			if !grp.linSeen[ref] {
 				grp.linSeen[ref] = true
@@ -596,15 +613,13 @@ func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
 		}
 	}
 	// A global aggregate over an empty input still yields one (empty) group.
-	if len(groups) == 0 && len(s.GroupBy) == 0 {
-		groups[""] = &group{rep: tuple{vals: make([]sqlval.Value, len(rel.env.bindings))}, accs: newAccs()}
-		order = append(order, "")
+	if len(order) == 0 && len(s.GroupBy) == 0 {
+		order = append(order, &group{rep: tuple{vals: make([]sqlval.Value, len(rel.env.bindings))}, accs: newAccs()})
 	}
 
 	out := &aggRelation{aggregate: true}
 	out.rel.env = rel.env
-	for _, key := range order {
-		grp := groups[key]
+	for _, grp := range order {
 		t := grp.rep
 		t.lineage = grp.lineage
 		m := make(map[sqlparse.Expr]sqlval.Value, len(aggCalls))
@@ -638,6 +653,7 @@ type aggAcc struct {
 	intOnly  bool
 	min, max sqlval.Value
 	seen     map[string]bool
+	key      []byte // DISTINCT key buffer, reused across rows
 }
 
 func newAggAcc(c *sqlparse.FuncExpr) *aggAcc {
@@ -657,11 +673,11 @@ func (a *aggAcc) add(v sqlval.Value) {
 		return
 	}
 	if a.distinct {
-		k := v.GroupKey()
-		if a.seen[k] {
+		a.key = v.AppendKey(a.key[:0])
+		if a.seen[string(a.key)] {
 			return
 		}
-		a.seen[k] = true
+		a.seen[string(a.key)] = true
 	}
 	a.count++
 	switch a.fn {
@@ -732,26 +748,21 @@ func project(s *sqlparse.Select, ar *aggRelation, withLineage bool, oc *opCollec
 	for _, it := range s.Items {
 		switch {
 		case it.Star:
-			for i, b := range rel.env.bindings {
-				if IsProvColumn(b.name) {
-					continue
-				}
-				if it.Table != "" && b.table != it.Table {
-					continue
-				}
-				outs = append(outs, outCol{name: b.name, slot: i, expr: nil})
-			}
-			if it.Table != "" {
-				found := false
-				for _, b := range rel.env.bindings {
-					if b.table == it.Table {
-						found = true
-						break
+			// Expand in syntactic FROM order, whatever order the joins ran
+			// in; the hidden provenance attributes never expand.
+			found := false
+			for _, ref := range fromRefs(s) {
+				if name := ref.EffectiveName(); it.Table == "" || name == it.Table {
+					found = true
+					for i, b := range rel.env.bindings {
+						if b.table == name && !IsProvColumn(b.name) {
+							outs = append(outs, outCol{name: b.name, slot: i})
+						}
 					}
 				}
-				if !found {
-					return nil, nil, nil, fmt.Errorf("table %q does not exist in FROM clause", it.Table)
-				}
+			}
+			if it.Table != "" && !found {
+				return nil, nil, nil, fmt.Errorf("table %q does not exist in FROM clause", it.Table)
 			}
 		default:
 			name := it.Alias
@@ -843,14 +854,13 @@ func project(s *sqlparse.Select, ar *aggRelation, withLineage bool, oc *opCollec
 			seen := map[string]int{}
 			dedup := outRows[:0:0]
 			var linSeen []map[TupleRef]bool // parallel to dedup, lazily built
+			var key []byte
 			for _, r := range outRows {
-				var sb strings.Builder
+				key = key[:0]
 				for _, v := range r.vals {
-					sb.WriteString(v.GroupKey())
-					sb.WriteByte(0)
+					key = v.AppendKey(key)
 				}
-				k := sb.String()
-				if i, dup := seen[k]; dup {
+				if i, dup := seen[string(key)]; dup {
 					// Union lineage through a per-row set; pairwise merging would
 					// be quadratic in the duplicate count.
 					if linSeen[i] == nil {
@@ -867,7 +877,7 @@ func project(s *sqlparse.Select, ar *aggRelation, withLineage bool, oc *opCollec
 					}
 					continue
 				}
-				seen[k] = len(dedup)
+				seen[string(key)] = len(dedup)
 				dedup = append(dedup, r)
 				linSeen = append(linSeen, nil)
 			}

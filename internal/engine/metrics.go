@@ -135,15 +135,10 @@ func ParseStatement(sql string) (Parsed, error) {
 }
 
 // timedParse wraps sqlparse.Parse with latency accounting, for callers that
-// do not need a fingerprint.
+// do not need a fingerprint (transaction reenactment).
 func timedParse(sql string) (sqlparse.Statement, error) {
 	t0 := time.Now()
 	stmt, err := sqlparse.Parse(sql)
 	hParse.Observe(time.Since(t0))
 	return stmt, err
 }
-
-// ParseTimed parses one statement, recording the engine.parse_ns latency
-// metric — the parse entry point for callers that dispatch on the parsed
-// statement themselves (the server's COPY interception).
-func ParseTimed(sql string) (sqlparse.Statement, error) { return timedParse(sql) }

@@ -50,29 +50,20 @@ func (db *DB) virtualTable(name string) *VirtualTable {
 }
 
 // scanVirtual materializes a system view as a relation with the same layout
-// contract as scanTable: the view's columns followed by the four hidden
-// provenance attributes (synthetic here — row ids number the snapshot rows,
-// versions and usedby are zero).
-func (ec *stmtCtx) scanVirtual(vt *VirtualTable, ref sqlparse.TableRef) relation {
-	name := ref.EffectiveName()
-	rel := relation{env: env{params: ec.params}}
-	for _, c := range vt.Schema.Columns {
-		rel.env.bindings = append(rel.env.bindings, binding{table: name, name: c.Name})
-	}
-	for _, pc := range []string{ColProvRowID, ColProvV, ColProvP, ColProvUsedBy} {
-		rel.env.bindings = append(rel.env.bindings, binding{table: name, name: pc})
-	}
-	ncols := len(vt.Schema.Columns)
+// contract as a table scan: the view's columns, then, if prov, the four
+// hidden provenance attributes (synthetic here — row ids number the
+// snapshot rows, versions and usedby are zero).
+func (ec *stmtCtx) scanVirtual(vt *VirtualTable, name string, prov bool) relation {
+	rel := relation{env: layoutEnv(vt.Schema.Columns, name, prov, ec.params)}
 	rows := vt.Rows()
-	rel.tuples = make([]tuple, 0, len(rows))
+	rel.tuples = make([]tuple, len(rows))
 	for i, vals := range rows {
-		tv := make([]sqlval.Value, ncols+4)
+		tv := make([]sqlval.Value, len(vt.Schema.Columns))
 		copy(tv, vals)
-		tv[ncols] = sqlval.NewInt(int64(i + 1))
-		tv[ncols+1] = sqlval.NewInt(0)
-		tv[ncols+2] = sqlval.NewString("")
-		tv[ncols+3] = sqlval.NewInt(0)
-		rel.tuples = append(rel.tuples, tuple{vals: tv})
+		if prov {
+			tv = rowVals(&storedRow{id: RowID(i + 1), vals: tv}, true)
+		}
+		rel.tuples[i] = tuple{vals: tv}
 	}
 	return rel
 }

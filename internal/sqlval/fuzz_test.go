@@ -1,6 +1,11 @@
 package sqlval
 
-import "testing"
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"testing"
+)
 
 // FuzzDecode asserts the value codec never panics and consumed lengths stay
 // in bounds.
@@ -23,6 +28,113 @@ func FuzzDecode(f *testing.F) {
 			for _, v := range row {
 				_ = v.String()
 			}
+		}
+	})
+}
+
+// fuzzTuple decodes fuzz bytes into a tuple without ever failing: each value
+// is a kind selector byte followed by a kind-specific payload (8 bytes for
+// numbers and dates, a length byte plus bytes for strings), truncated
+// payloads reading as zero.
+func fuzzTuple(data []byte) []Value {
+	var out []Value
+	take := func(n int) []byte {
+		if n > len(data) {
+			n = len(data)
+		}
+		b := data[:n]
+		data = data[n:]
+		return b
+	}
+	u64 := func() uint64 {
+		var buf [8]byte
+		copy(buf[:], take(8))
+		return binary.LittleEndian.Uint64(buf[:])
+	}
+	for len(data) > 0 {
+		switch take(1)[0] % 7 {
+		case 0:
+			out = append(out, Null)
+		case 1:
+			out = append(out, NewInt(int64(u64())))
+		case 2:
+			out = append(out, NewFloat(math.Float64frombits(u64())))
+		case 3:
+			n := 0
+			if b := take(1); len(b) > 0 {
+				n = int(b[0] % 16)
+			}
+			out = append(out, NewString(string(take(n))))
+		case 4:
+			out = append(out, NewBool(u64()&1 == 1))
+		case 5:
+			out = append(out, NewDateDays(int64(u64())))
+		case 6:
+			// Small integral numbers of either numeric kind, so the fuzzer
+			// reaches the cross-kind collisions (1 = 1.0) often.
+			b := take(1)
+			v := 0
+			if len(b) > 0 {
+				v = int(int8(b[0]) >> 1)
+			}
+			if len(b) > 0 && b[0]&1 == 1 {
+				out = append(out, NewFloat(float64(v)))
+			} else {
+				out = append(out, NewInt(int64(v)))
+			}
+		}
+	}
+	return out
+}
+
+// keyEqual is the grouping equality keys must encode: NULL groups with
+// NULL, INTEGER and FLOAT compare as float64 with −0 = 0 and NaN = NaN, and
+// otherwise kinds (DATE and INTEGER included) never mix.
+func keyEqual(a, b Value) bool {
+	if a.IsNumeric() && b.IsNumeric() {
+		fa, _ := a.AsFloat()
+		fb, _ := b.AsFloat()
+		return fa == fb || (fa != fa && fb != fb)
+	}
+	if a.kind != b.kind {
+		return false
+	}
+	switch a.kind {
+	case KindNull:
+		return true
+	case KindString:
+		return a.s == b.s
+	default:
+		return a.i == b.i
+	}
+}
+
+// FuzzKey asserts the composite-key property GROUP BY, DISTINCT and hash
+// joins rely on: the concatenated AppendKey encodings of two tuples are
+// equal exactly when the tuples are element-wise keyEqual.
+func FuzzKey(f *testing.F) {
+	str := func(s string) []byte { return append([]byte{3, byte(len(s))}, s...) }
+	f.Add(append(str("x"), str("y\x00sz")...), append(str("x\x00sy"), str("z")...))
+	f.Add([]byte{6, 2}, []byte{6, 3})                         // 1 vs 1.0
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 0x80}, []byte{6, 0}) // −0 vs 0
+	f.Add([]byte{2, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f}, []byte{2, 2, 0, 0, 0, 0, 0, 0xf8, 0x7f})
+	f.Add([]byte{5, 1}, []byte{1, 1}) // date vs int
+	f.Add([]byte{0, 3, 0}, []byte{3, 0, 0})
+	f.Fuzz(func(t *testing.T, da, db []byte) {
+		a, b := fuzzTuple(da), fuzzTuple(db)
+		want := len(a) == len(b)
+		for i := 0; want && i < len(a); i++ {
+			want = keyEqual(a[i], b[i])
+		}
+		var ka, kb []byte
+		for _, v := range a {
+			ka = v.AppendKey(ka)
+		}
+		for _, v := range b {
+			kb = v.AppendKey(kb)
+		}
+		if got := bytes.Equal(ka, kb); got != want {
+			t.Fatalf("keys equal = %v, tuples equal = %v: %v vs %v", got, want, a, b)
 		}
 	})
 }

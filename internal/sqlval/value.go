@@ -6,8 +6,8 @@
 package sqlval
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -288,53 +288,48 @@ func SortLess(a, b Value) bool {
 	return a.kind < b.kind
 }
 
-// Hash returns a hash of the value suitable for hash joins and grouping.
-// Values that are Equal hash identically (numeric cross-kind included).
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	switch v.kind {
-	case KindNull:
-		h.Write([]byte{0})
-	case KindString:
-		h.Write([]byte{1})
-		h.Write([]byte(v.s))
-	case KindBool:
-		h.Write([]byte{2, byte(v.i)})
-	case KindDate:
-		var buf [9]byte
-		buf[0] = 3
-		putUint64(buf[1:], uint64(v.i))
-		h.Write(buf[:])
-	default: // numeric: hash by float64 so 1 and 1.0 collide deliberately
-		f, _ := v.AsFloat()
-		var buf [9]byte
-		buf[0] = 4
-		putUint64(buf[1:], math.Float64bits(f))
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
-
 // GroupKey returns a string key under which Equal values collide, used for
-// GROUP BY and duplicate elimination.
-func (v Value) GroupKey() string {
+// primary-key and secondary-index maps. It is AppendKey's encoding.
+func (v Value) GroupKey() string { return string(v.AppendKey(nil)) }
+
+// Key-encoding tags. Every encoding starts with one, so keys of different
+// kinds never collide.
+const (
+	keyNull   = 0
+	keyString = 's'
+	keyBool   = 'b'
+	keyDate   = 'd'
+	keyNumber = 'n'
+)
+
+// AppendKey appends v's in-memory hash key to buf: a kind tag, then a
+// length-prefixed string, an 8-byte int (DATE, BOOLEAN), or the float64
+// bits of a numeric. INTEGER and FLOAT share the numeric encoding so that 1
+// and 1.0 collide, −0 is folded into 0 and every NaN into one NaN. The
+// encoding is self-delimiting: the concatenated keys of two tuples are
+// equal exactly when the tuples are element-wise key-equal, which is what
+// GROUP BY, DISTINCT and multi-column hash joins build on. Keys are never
+// persisted.
+func (v Value) AppendKey(buf []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "\x00"
+		return append(buf, keyNull)
 	case KindString:
-		return "s" + v.s
+		buf = binary.AppendUvarint(append(buf, keyString), uint64(len(v.s)))
+		return append(buf, v.s...)
 	case KindBool:
-		return "b" + strconv.FormatInt(v.i, 10)
+		return binary.LittleEndian.AppendUint64(append(buf, keyBool), uint64(v.i))
 	case KindDate:
-		return "d" + strconv.FormatInt(v.i, 10)
+		return binary.LittleEndian.AppendUint64(append(buf, keyDate), uint64(v.i))
 	default:
 		f, _ := v.AsFloat()
-		return "n" + strconv.FormatFloat(f, 'g', -1, 64)
-	}
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+		bits := math.Float64bits(f)
+		switch {
+		case f == 0:
+			bits = 0
+		case f != f:
+			bits = math.Float64bits(math.NaN())
+		}
+		return binary.LittleEndian.AppendUint64(append(buf, keyNumber), bits)
 	}
 }

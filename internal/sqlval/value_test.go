@@ -172,15 +172,6 @@ func TestSortLessTotalOrder(t *testing.T) {
 	}
 }
 
-func TestHashEqualValuesCollide(t *testing.T) {
-	if NewInt(7).Hash() != NewFloat(7.0).Hash() {
-		t.Error("7 and 7.0 must hash identically")
-	}
-	if NewString("x").Hash() == NewString("y").Hash() {
-		t.Error("different strings should hash differently (fnv)")
-	}
-}
-
 func TestGroupKeyDistinguishesKinds(t *testing.T) {
 	// '1' (text) and 1 (int) must not collide.
 	if NewString("1").GroupKey() == NewInt(1).GroupKey() {
@@ -189,6 +180,51 @@ func TestGroupKeyDistinguishesKinds(t *testing.T) {
 	// but 1 and 1.0 must collide (they are Equal).
 	if NewInt(1).GroupKey() != NewFloat(1).GroupKey() {
 		t.Error("1 and 1.0 group keys must collide")
+	}
+}
+
+func TestAppendKey(t *testing.T) {
+	key := func(vs ...Value) string {
+		var b []byte
+		for _, v := range vs {
+			b = v.AppendKey(b)
+		}
+		return string(b)
+	}
+	nan := NewFloat(math.NaN())
+	cases := []struct {
+		name    string
+		a, b    []Value
+		collide bool
+	}{
+		{"null vs empty string", []Value{Null}, []Value{NewString("")}, false},
+		{"null vs null", []Value{Null}, []Value{Null}, true},
+		{"empty string vs empty string", []Value{NewString("")}, []Value{NewString("")}, true},
+		{"two empty strings vs one", []Value{NewString(""), NewString("")}, []Value{NewString("")}, false},
+		{"embedded NULs shift the boundary",
+			[]Value{NewString("x"), NewString("y\x00sz")},
+			[]Value{NewString("x\x00sy"), NewString("z")}, false},
+		{"NUL vs null", []Value{NewString("\x00")}, []Value{Null}, false},
+		{"1 vs 1.0", []Value{NewInt(1)}, []Value{NewFloat(1)}, true},
+		{"-0 vs 0", []Value{NewFloat(math.Copysign(0, -1))}, []Value{NewInt(0)}, true},
+		{"NaN vs NaN", []Value{nan}, []Value{NewFloat(math.Float64frombits(0x7ff8000000000001))}, true},
+		{"NaN vs null", []Value{nan}, []Value{Null}, false},
+		{"max vs min int", []Value{NewInt(math.MaxInt64)}, []Value{NewInt(math.MinInt64)}, false},
+		{"2^53 int vs float", []Value{NewInt(1 << 53)}, []Value{NewFloat(1 << 53)}, true},
+		// Numerics compare as float64 (as Compare does), so integers beyond
+		// 2^53 that round to the same float share a key.
+		{"2^53+1 vs 2^53", []Value{NewInt(1<<53 + 1)}, []Value{NewInt(1 << 53)}, true},
+		{"date vs int", []Value{NewDateDays(5)}, []Value{NewInt(5)}, false},
+		{"bool vs int", []Value{NewBool(true)}, []Value{NewInt(1)}, false},
+		{"text 1 vs int 1", []Value{NewString("1")}, []Value{NewInt(1)}, false},
+	}
+	for _, c := range cases {
+		if got := key(c.a...) == key(c.b...); got != c.collide {
+			t.Errorf("%s: keys collide = %v, want %v", c.name, got, c.collide)
+		}
+	}
+	if NewString("ab").GroupKey() != string(NewString("ab").AppendKey(nil)) {
+		t.Error("GroupKey must be AppendKey's encoding")
 	}
 }
 
@@ -276,7 +312,7 @@ func TestQuickRowCodecRoundTrip(t *testing.T) {
 func TestQuickHashConsistentWithEqual(t *testing.T) {
 	f := func(a, b quickValue) bool {
 		if a.V.Equal(b.V) {
-			return a.V.Hash() == b.V.Hash() && a.V.GroupKey() == b.V.GroupKey()
+			return a.V.GroupKey() == b.V.GroupKey()
 		}
 		return true
 	}
