@@ -65,10 +65,6 @@ type Node interface {
 // Tree is a fully lowered statement.
 type Tree struct {
 	Root Node
-	// Reordered is set when the greedy join order differs from the
-	// syntactic FROM order; the executor then restores the syntactic
-	// column order before projection.
-	Reordered bool
 	// AsOf is the rendered AS OF bound of a time-travel query ("" for
 	// head reads). The scan operators need no change — secondary indexes
 	// retain dead versions and the executor applies snapshot visibility

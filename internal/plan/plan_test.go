@@ -124,6 +124,7 @@ func TestPlanJoinOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := mReorderApplied.Load()
 	tree := PlanStatement(testCatalog(), stmt)
 	got := outline(tree)
 	// tiny (3 rows, alias t) must be scanned before orders (10000 rows,
@@ -132,8 +133,8 @@ func TestPlanJoinOrder(t *testing.T) {
 	if ti < 0 || oi < 0 || ti > oi {
 		t.Errorf("join order outline = %s, want tiny joined before orders", got)
 	}
-	if !tree.Reordered {
-		t.Errorf("tree.Reordered = false, want true for %s", got)
+	if d := mReorderApplied.Load() - before; d != 1 {
+		t.Errorf("plan.reorder_applied grew by %d, want 1 for %s", d, got)
 	}
 }
 

@@ -40,16 +40,13 @@ func PlanStatement(cat Catalog, stmt sqlparse.Statement) *Tree {
 // PlanInsert lowers an INSERT; INSERT ... SELECT embeds the query's plan.
 func PlanInsert(cat Catalog, s *sqlparse.Insert) *Tree {
 	n := &InsertNode{Table: s.Table}
-	reordered := false
 	if s.Query != nil {
-		qt := PlanSelect(cat, s.Query)
-		n.Query = qt.Root
-		n.Est = qt.Root.EstRows()
-		reordered = qt.Reordered
+		n.Query = PlanSelect(cat, s.Query).Root
+		n.Est = n.Query.EstRows()
 	} else {
 		n.Est = float64(len(s.Rows))
 	}
-	return &Tree{Root: n, Reordered: reordered}
+	return &Tree{Root: n}
 }
 
 // PlanUpdate lowers an UPDATE: an access path over the target table (index
@@ -113,7 +110,7 @@ func PlanSelect(cat Catalog, s *sqlparse.Select) *Tree {
 			splitConjuncts(j.On, &p.conjuncts)
 		}
 		p.attribute()
-		root = p.joinTree(tree)
+		root = p.joinTree()
 		// Everything unplaced must resolve (or error) at runtime.
 		var leftover []sqlparse.Expr
 		for i := range p.conj {
@@ -314,7 +311,7 @@ type leafPlan struct {
 // the smallest connected leaf (any leaf if none connects). Single-table
 // conjuncts are pushed into their leaf, join-level conjuncts become hash
 // join keys or post-join filters as soon as their tables are joined.
-func (p *planner) joinTree(tree *Tree) Node {
+func (p *planner) joinTree() Node {
 	leaves := make([]leafPlan, len(p.refs))
 	for i := range p.refs {
 		var pushed []int
@@ -401,7 +398,6 @@ func (p *planner) joinTree(tree *Tree) Node {
 
 	for i, r := range order {
 		if r != i {
-			tree.Reordered = true
 			mReorderApplied.Inc()
 			break
 		}
