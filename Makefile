@@ -57,7 +57,8 @@ examples:
 experiments:
 	$(GO) run ./cmd/ldv-bench -exp all
 
-# Short fuzzing pass over the parser, codecs, and ops endpoint.
+# Short fuzzing pass over the parser, codecs, predicate kernels, and ops
+# endpoint.
 fuzz:
 	$(GO) test ./internal/sqlparse -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzRead -fuzztime 30s
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test ./internal/sqlval -fuzz FuzzKey -fuzztime 30s
 	$(GO) test ./internal/engine -fuzz FuzzWALDecode -fuzztime 30s
 	$(GO) test ./internal/engine -fuzz FuzzWALScan -fuzztime 30s
+	$(GO) test ./internal/engine -fuzz FuzzPredicate -fuzztime 30s
 	$(GO) test ./internal/ops -fuzz FuzzTracesHandler -fuzztime 30s
 	$(GO) test ./internal/plan -fuzz FuzzPlan -fuzztime 30s
 	$(GO) test ./internal/sqlparse -fuzz FuzzAsOf -fuzztime 30s
@@ -80,6 +82,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -fuzz FuzzRead -fuzztime 5s
 	$(GO) test ./internal/sqlval -fuzz FuzzKey -fuzztime 5s
 	$(GO) test ./internal/engine -fuzz FuzzWALDecode -fuzztime 5s
+	$(GO) test ./internal/engine -fuzz FuzzPredicate -fuzztime 5s
 
 # WAL overhead and recovery-time measurements (EXPERIMENTS.md "Durability").
 recover-bench:

@@ -73,7 +73,6 @@ func (ec *stmtCtx) execInsert(s *sqlparse.Insert, opts ExecOptions, res *Result)
 				}
 			}
 		}
-		emptyEnv := &env{params: ec.params}
 		for _, rowExprs := range s.Rows {
 			row := make([]sqlval.Value, len(rowExprs))
 			for i, e := range rowExprs {
@@ -84,7 +83,7 @@ func (ec *stmtCtx) execInsert(s *sqlparse.Insert, opts ExecOptions, res *Result)
 					}
 					e = ne
 				}
-				v, err := evalExpr(e, emptyEnv, nil, nil)
+				v, err := evalConst(e, ec.params)
 				if err != nil {
 					return err
 				}
@@ -156,7 +155,7 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, opts ExecOptions, res *Result)
 		return err
 	}
 
-	// Validate SET column names up front.
+	// Validate SET column names and bind the SET expressions up front.
 	setIdx := make([]int, len(s.Set))
 	for i, a := range s.Set {
 		idx := t.Schema.ColumnIndex(a.Column)
@@ -164,6 +163,10 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, opts ExecOptions, res *Result)
 			return fmt.Errorf("table %q has no column %q", s.Table, a.Column)
 		}
 		setIdx[i] = idx
+	}
+	set, err := bindEach(setExprs, en.bind)
+	if err != nil {
+		return err
 	}
 
 	pk := t.Schema.PrimaryKeyIndex()
@@ -182,8 +185,8 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, opts ExecOptions, res *Result)
 		}
 		newVals := append([]sqlval.Value(nil), r.vals...)
 		envVals := rowVals(r, prov)
-		for i, a := range s.Set {
-			v, err := evalExpr(a.Expr, en, envVals, nil)
+		for i, f := range set {
+			v, err := f(envVals)
 			if err != nil {
 				return err
 			}
@@ -285,12 +288,17 @@ func (ec *stmtCtx) execDelete(s *sqlparse.Delete, opts ExecOptions, res *Result)
 // both the match set and the conflict detection are exactly what a full
 // scan would produce. The WHERE clause is checked on each candidate's stored
 // values in place; prov (the statement names a provenance column) selects
-// the layout with the hidden provenance attributes instead.
+// the layout with the hidden provenance attributes instead. The clause is
+// bound before any row is read, and an error evaluating it on a candidate
+// fails the statement.
 func (ec *stmtCtx) matchRows(t *Table, where sqlparse.Expr, prov bool) (*env, []*storedRow, error) {
 	en := layoutEnv(t.Schema.Columns, t.Name, prov, ec.params)
-	var conj []sqlparse.Expr
+	var pred predFn
 	if where != nil {
-		conj = []sqlparse.Expr{where}
+		var err error
+		if pred, err = en.bindPred(where); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	access, est := plan.PlanAccess(stmtCatalog{ec}, t.Name, where)
@@ -330,11 +338,12 @@ func (ec *stmtCtx) matchRows(t *Table, where sqlparse.Expr, prov bool) (*env, []
 				}
 				conflict = true // end-marked by a concurrent uncommitted txn
 			}
-			if ok, err := holds(conj, &en, rowVals(r, prov)); !ok {
-				if err != nil {
+			if pred != nil {
+				if truth, err := pred(rowVals(r, prov)); err != nil {
 					return err
+				} else if truth != triTrue {
+					continue
 				}
-				continue
 			}
 			if conflict {
 				return fmt.Errorf("could not serialize access due to concurrent update on table %s", t.Name)

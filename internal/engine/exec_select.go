@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -125,21 +126,21 @@ func newSelPlan(tree *plan.Tree) *selPlan {
 }
 
 // runSelect plans and executes the FROM/WHERE/GROUP BY portion, returning
-// the pre-projection relation (post-aggregation for aggregate queries, with
-// aggregate values stashed per tuple via aggRelation). The plan is kept on
-// ec.sel so the projection stages can report their estimates.
-func (ec *stmtCtx) runSelect(s *sqlparse.Select, sc *scanCtx) (*aggRelation, error) {
+// the pre-projection relation (post-aggregation for aggregate queries, whose
+// tuples end in one slot per aggregate call). The plan is kept on ec.sel so
+// the projection stages can report their estimates.
+func (ec *stmtCtx) runSelect(s *sqlparse.Select, sc *scanCtx) (relation, error) {
 	if len(s.From) == 0 {
 		// Table-less SELECT (e.g. SELECT 1+1): a single empty tuple.
 		ec.sel = newSelPlan(plan.PlanSelect(stmtCatalog{ec}, s))
-		return &aggRelation{rel: relation{env: env{params: ec.params}, tuples: []tuple{{}}}}, nil
+		return relation{env: env{params: ec.params}, tuples: []tuple{{}}}, nil
 	}
 
 	seen := map[string]bool{}
 	for _, r := range fromRefs(s) {
 		name := r.EffectiveName()
 		if seen[name] {
-			return nil, fmt.Errorf("duplicate table name or alias %q", name)
+			return relation{}, fmt.Errorf("duplicate table name or alias %q", name)
 		}
 		seen[name] = true
 	}
@@ -148,25 +149,18 @@ func (ec *stmtCtx) runSelect(s *sqlparse.Select, sc *scanCtx) (*aggRelation, err
 	ec.sel = sp
 	cur, err := ec.execAccess(sp.access, sc)
 	if err != nil {
-		return nil, err
+		return relation{}, err
 	}
-
-	var ar *aggRelation
-	if err := ec.ops.execEst("aggregate", exprListText(s.GroupBy), sp.estAgg, func() (int, error) {
+	calls := selectAggregates(s)
+	if len(calls) == 0 && len(s.GroupBy) == 0 {
+		return cur, nil
+	}
+	err = ec.ops.execEst("aggregate", exprListText(s.GroupBy), sp.estAgg, func() (int, error) {
 		var aerr error
-		ar, aerr = aggregate(s, cur)
-		if aerr != nil {
-			return 0, aerr
-		}
-		return len(ar.rel.tuples), nil
-	}); err != nil {
-		return nil, err
-	}
-	if !ar.aggregate {
-		// Plain query: the aggregate stage was a pass-through, not an operator.
-		ec.ops.dropLast()
-	}
-	return ar, nil
+		cur, aerr = aggregate(s, calls, cur)
+		return len(cur.tuples), aerr
+	})
+	return cur, err
 }
 
 // scanCtx carries what a SELECT block's scans need beyond their plan
@@ -296,12 +290,11 @@ func (ec *stmtCtx) scan(leaf plan.Node, f *plan.FilterNode, sc *scanCtx) (relati
 		return ec.execFilter(rel, f)
 	}
 	rel := relation{env: layoutEnv(t.Schema.Columns, as, sc.prov, ec.params)}
-	var conj []sqlparse.Expr
+	var conj []predFn
 	if f != nil {
-		if err := checkConjuncts(f, &rel.env); err != nil {
+		if conj, err = bindEach(f.Conjuncts, rel.env.bindPred); err != nil {
 			return relation{}, err
 		}
-		conj = f.Conjuncts
 	}
 	_ = ec.ops.execEst(leaf.Op(), leaf.Detail(), leaf.EstRows(), func() (int, error) {
 		cand := t.rows
@@ -327,7 +320,7 @@ func (ec *stmtCtx) scan(leaf plan.Node, f *plan.FilterNode, sc *scanCtx) (relati
 				r.usedBy.Store(sc.stmtID)
 			}
 			vals := rowVals(r, sc.prov)
-			if ok, _ := holds(conj, &rel.env, vals); !ok {
+			if !passes(conj, vals) {
 				continue
 			}
 			tp := tuple{vals: vals}
@@ -383,53 +376,17 @@ func rowVals(r *storedRow, prov bool) []sqlval.Value {
 	return vals
 }
 
-// holds evaluates conjuncts on one tuple, stopping at the first that is
-// false, NULL or fails to evaluate.
-func holds(conj []sqlparse.Expr, en *env, vals []sqlval.Value) (bool, error) {
-	for _, c := range conj {
-		v, err := evalExpr(c, en, vals, nil)
-		if err != nil || !isTrue(v) {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// checkConjuncts validates an unresolved filter's conjuncts against the
-// layout they will run on, so that semantic errors surface even on empty
-// inputs. The planner has already proved a resolved filter's conjuncts
-// bind.
-func checkConjuncts(f *plan.FilterNode, en *env) error {
-	if f.Resolved {
-		return nil
-	}
-	for _, c := range f.Conjuncts {
-		var aggs []*sqlparse.FuncExpr
-		collectAggregates(c, &aggs)
-		if len(aggs) > 0 {
-			return fmt.Errorf("aggregates are not allowed in WHERE")
-		}
-		var crs []*sqlparse.ColumnRef
-		columnRefs(c, &crs)
-		for _, r := range crs {
-			if _, err := en.resolve(r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // execFilter runs a filter that is not fused into a scan: one above a join
 // or a system view. Rows whose conjuncts fail to evaluate are dropped.
 func (ec *stmtCtx) execFilter(rel relation, f *plan.FilterNode) (relation, error) {
-	if err := checkConjuncts(f, &rel.env); err != nil {
+	conj, err := bindEach(f.Conjuncts, rel.env.bindPred)
+	if err != nil {
 		return relation{}, err
 	}
 	out := rel.tuples[:0:0]
 	_ = ec.ops.execEst("filter", f.Detail(), f.Est, func() (int, error) {
 		for _, t := range rel.tuples {
-			if ok, _ := holds(f.Conjuncts, &rel.env, t.vals); ok {
+			if passes(conj, t.vals) {
 				out = append(out, t)
 			}
 		}
@@ -451,6 +408,14 @@ func fromRefs(s *sqlparse.Select) []sqlparse.TableRef {
 // hashJoin joins two relations on the given key expression lists. With no
 // keys it degrades to a cross join.
 func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr) (relation, error) {
+	lk, err := bindEach(leftKeys, left.env.bind)
+	if err != nil {
+		return relation{}, err
+	}
+	rk, err := bindEach(rightKeys, right.env.bind)
+	if err != nil {
+		return relation{}, err
+	}
 	out := relation{}
 	out.env.bindings = append(append([]binding(nil), left.env.bindings...), right.env.bindings...)
 	out.env.params = left.env.params
@@ -474,10 +439,10 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr) (relati
 	// keyOf encodes a tuple's join key into buf, reused across tuples (the
 	// probe-side map lookup on string(buf) does not allocate).
 	var buf []byte
-	keyOf := func(t tuple, en *env, keys []sqlparse.Expr) (bool, error) {
+	keyOf := func(t tuple, keys []evalFn) (bool, error) {
 		buf = buf[:0]
 		for _, k := range keys {
-			v, err := evalExpr(k, en, t.vals, nil)
+			v, err := k(t.vals)
 			if err != nil || v.IsNull() {
 				return false, err // NULL never joins
 			}
@@ -489,14 +454,14 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr) (relati
 	// Build on the smaller side.
 	buildRight := len(right.tuples) <= len(left.tuples)
 	build, probe := right, left
-	buildKeys, probeKeys := rightKeys, leftKeys
+	buildKeys, probeKeys := rk, lk
 	if !buildRight {
 		build, probe = left, right
-		buildKeys, probeKeys = leftKeys, rightKeys
+		buildKeys, probeKeys = lk, rk
 	}
 	table := make(map[string][]int, len(build.tuples))
 	for i, t := range build.tuples {
-		ok, err := keyOf(t, &build.env, buildKeys)
+		ok, err := keyOf(t, buildKeys)
 		if err != nil {
 			return relation{}, err
 		}
@@ -505,7 +470,7 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr) (relati
 		}
 	}
 	for _, p := range probe.tuples {
-		ok, err := keyOf(p, &probe.env, probeKeys)
+		ok, err := keyOf(p, probeKeys)
 		if err != nil {
 			return relation{}, err
 		}
@@ -524,34 +489,61 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr) (relati
 	return out, nil
 }
 
-// aggRelation carries the relation plus, for aggregate queries, the
-// per-tuple aggregate values (keyed by the FuncExpr node).
-type aggRelation struct {
-	rel       relation
-	aggs      []map[sqlparse.Expr]sqlval.Value // parallel to rel.tuples; nil for plain queries
-	aggregate bool
-}
-
-// aggregate applies GROUP BY / aggregate semantics if the query needs them.
-func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
-	var aggCalls []*sqlparse.FuncExpr
+// selectAggregates lists the aggregate calls in a SELECT's items, ORDER BY
+// and HAVING.
+func selectAggregates(s *sqlparse.Select) []*sqlparse.FuncExpr {
+	var calls []*sqlparse.FuncExpr
 	for _, it := range s.Items {
 		if it.Expr != nil {
-			collectAggregates(it.Expr, &aggCalls)
+			collectAggregates(it.Expr, &calls)
 		}
 	}
 	for _, o := range s.OrderBy {
-		collectAggregates(o.Expr, &aggCalls)
+		collectAggregates(o.Expr, &calls)
 	}
 	if s.Having != nil {
-		collectAggregates(s.Having, &aggCalls)
+		collectAggregates(s.Having, &calls)
 	}
-	if len(aggCalls) == 0 && len(s.GroupBy) == 0 {
-		return &aggRelation{rel: rel}, nil
-	}
-	for _, c := range aggCalls {
+	return calls
+}
+
+// aggregate applies GROUP BY / aggregate semantics. Each output tuple is
+// its group's first input tuple followed by one slot per aggregate call,
+// and the output env binds each call to its slot.
+func aggregate(s *sqlparse.Select, calls []*sqlparse.FuncExpr, rel relation) (relation, error) {
+	for _, c := range calls {
 		if !sqlparse.AggregateFuncs[c.Name] {
-			return nil, fmt.Errorf("unknown function %s", c.Name)
+			return relation{}, fmt.Errorf("unknown function %s", c.Name)
+		}
+	}
+	keys, err := bindEach(s.GroupBy, rel.env.bind)
+	if err != nil {
+		return relation{}, err
+	}
+	argExprs := make([]sqlparse.Expr, len(calls))
+	for i, c := range calls {
+		argExprs[i] = c.Arg
+		if c.Arg == nil {
+			argExprs[i] = &sqlparse.Literal{} // COUNT(*): NULL, unread
+		}
+	}
+	args, err := bindEach(argExprs, rel.env.bind)
+	if err != nil {
+		return relation{}, err
+	}
+	width := len(rel.env.bindings)
+	out := relation{env: env{
+		bindings: append(append([]binding(nil), rel.env.bindings...), make([]binding, len(calls))...),
+		params:   rel.env.params,
+		aggs:     make(map[*sqlparse.FuncExpr]int, len(calls)),
+	}}
+	for i, c := range calls {
+		out.env.aggs[c] = width + i
+	}
+	var having predFn
+	if s.Having != nil {
+		if having, err = out.env.bindPred(s.Having); err != nil {
+			return relation{}, err
 		}
 	}
 
@@ -562,8 +554,8 @@ func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
 		accs    []*aggAcc
 	}
 	newAccs := func() []*aggAcc {
-		accs := make([]*aggAcc, len(aggCalls))
-		for i, c := range aggCalls {
+		accs := make([]*aggAcc, len(calls))
+		for i, c := range calls {
 			accs[i] = newAggAcc(c)
 		}
 		return accs
@@ -574,10 +566,10 @@ func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
 	var key []byte
 	for _, t := range rel.tuples {
 		key = key[:0]
-		for _, g := range s.GroupBy {
-			v, err := evalExpr(g, &rel.env, t.vals, nil)
+		for _, k := range keys {
+			v, err := k(t.vals)
 			if err != nil {
-				return nil, err
+				return relation{}, err
 			}
 			key = v.AppendKey(key)
 		}
@@ -600,44 +592,39 @@ func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
 				grp.lineage = append(grp.lineage, ref)
 			}
 		}
-		for i, c := range aggCalls {
-			var arg sqlval.Value
-			if c.Arg != nil {
-				v, err := evalExpr(c.Arg, &rel.env, t.vals, nil)
-				if err != nil {
-					return nil, err
-				}
-				arg = v
+		for i, arg := range args {
+			v, err := arg(t.vals)
+			if err != nil {
+				return relation{}, err
 			}
-			grp.accs[i].add(arg)
+			grp.accs[i].add(v)
 		}
 	}
 	// A global aggregate over an empty input still yields one (empty) group.
 	if len(order) == 0 && len(s.GroupBy) == 0 {
-		order = append(order, &group{rep: tuple{vals: make([]sqlval.Value, len(rel.env.bindings))}, accs: newAccs()})
+		order = append(order, &group{rep: tuple{vals: make([]sqlval.Value, width)}, accs: newAccs()})
 	}
 
-	out := &aggRelation{aggregate: true}
-	out.rel.env = rel.env
 	for _, grp := range order {
-		t := grp.rep
-		t.lineage = grp.lineage
-		m := make(map[sqlparse.Expr]sqlval.Value, len(aggCalls))
-		for i, c := range aggCalls {
-			m[c] = grp.accs[i].result()
-		}
-		// HAVING filters whole groups, evaluated with the aggregate context.
-		if s.Having != nil {
-			v, err := evalExpr(s.Having, &rel.env, t.vals, m)
+		vals := append(make([]sqlval.Value, 0, width+len(calls)), grp.rep.vals...)
+		for _, acc := range grp.accs {
+			v, err := acc.result()
 			if err != nil {
-				return nil, err
+				return relation{}, err
 			}
-			if !isTrue(v) {
+			vals = append(vals, v)
+		}
+		// HAVING filters whole groups.
+		if having != nil {
+			t, err := having(vals)
+			if err != nil {
+				return relation{}, err
+			}
+			if t != triTrue {
 				continue
 			}
 		}
-		out.rel.tuples = append(out.rel.tuples, t)
-		out.aggs = append(out.aggs, m)
+		out.tuples = append(out.tuples, tuple{vals: vals, lineage: grp.lineage})
 	}
 	return out, nil
 }
@@ -651,6 +638,7 @@ type aggAcc struct {
 	sum      float64
 	sumInt   int64
 	intOnly  bool
+	overflow bool // sumInt left 64 bits
 	min, max sqlval.Value
 	seen     map[string]bool
 	key      []byte // DISTINCT key buffer, reused across rows
@@ -684,10 +672,12 @@ func (a *aggAcc) add(v sqlval.Value) {
 	case "SUM", "AVG":
 		if f, ok := v.AsFloat(); ok {
 			a.sum += f
-			if v.Kind() == sqlval.KindInt {
-				a.sumInt += v.Int()
-			} else {
+			if v.Kind() != sqlval.KindInt {
 				a.intOnly = false
+			} else if s, ok := sqlval.AddInt(a.sumInt, v.Int()); ok {
+				a.sumInt = s
+			} else {
+				a.overflow = true
 			}
 		}
 	case "MIN":
@@ -705,66 +695,44 @@ func (a *aggAcc) add(v sqlval.Value) {
 	}
 }
 
-func (a *aggAcc) result() sqlval.Value {
+// result is the aggregate's value; an all-INTEGER SUM whose running total
+// left 64 bits is an error.
+func (a *aggAcc) result() (sqlval.Value, error) {
 	switch a.fn {
 	case "COUNT":
-		return sqlval.NewInt(a.count)
+		return sqlval.NewInt(a.count), nil
 	case "SUM":
-		if a.count == 0 {
-			return sqlval.Null
+		switch {
+		case a.count == 0:
+			return sqlval.Null, nil
+		case !a.intOnly:
+			return sqlval.NewFloat(a.sum), nil
+		case a.overflow:
+			return sqlval.Null, sqlval.ErrIntRange
 		}
-		if a.intOnly {
-			return sqlval.NewInt(a.sumInt)
-		}
-		return sqlval.NewFloat(a.sum)
+		return sqlval.NewInt(a.sumInt), nil
 	case "AVG":
 		if a.count == 0 {
-			return sqlval.Null
+			return sqlval.Null, nil
 		}
-		return sqlval.NewFloat(a.sum / float64(a.count))
+		return sqlval.NewFloat(a.sum / float64(a.count)), nil
 	case "MIN":
-		return a.min
+		return a.min, nil
 	case "MAX":
-		return a.max
-	default:
-		return sqlval.Null
+		return a.max, nil
 	}
+	return sqlval.Null, nil
 }
 
 // project evaluates the select list (star expansion excludes the hidden
 // provenance attributes), then applies DISTINCT, ORDER BY, and LIMIT —
 // each recorded as its own operator (with the planner's estimate from sp)
-// when EXPLAIN ANALYZE is collecting.
-func project(s *sqlparse.Select, ar *aggRelation, withLineage bool, oc *opCollector, sp *selPlan) (cols []string, rows [][]sqlval.Value, lineage [][]TupleRef, err error) {
-	rel := ar.rel
-
-	// Resolve output columns.
-	type outCol struct {
-		name string
-		expr sqlparse.Expr // nil for direct slot copy
-		slot int
-	}
-	var outs []outCol
+// when EXPLAIN ANALYZE is collecting. The select list and ORDER BY keys are
+// bound once, before any row.
+func project(s *sqlparse.Select, rel relation, withLineage bool, oc *opCollector, sp *selPlan) (cols []string, rows [][]sqlval.Value, lineage [][]TupleRef, err error) {
+	var outs []evalFn
 	for _, it := range s.Items {
-		switch {
-		case it.Star:
-			// Expand in syntactic FROM order, whatever order the joins ran
-			// in; the hidden provenance attributes never expand.
-			found := false
-			for _, ref := range fromRefs(s) {
-				if name := ref.EffectiveName(); it.Table == "" || name == it.Table {
-					found = true
-					for i, b := range rel.env.bindings {
-						if b.table == name && !IsProvColumn(b.name) {
-							outs = append(outs, outCol{name: b.name, slot: i})
-						}
-					}
-				}
-			}
-			if it.Table != "" && !found {
-				return nil, nil, nil, fmt.Errorf("table %q does not exist in FROM clause", it.Table)
-			}
-		default:
+		if !it.Star {
 			name := it.Alias
 			if name == "" {
 				if cr, ok := it.Expr.(*sqlparse.ColumnRef); ok {
@@ -775,24 +743,48 @@ func project(s *sqlparse.Select, ar *aggRelation, withLineage bool, oc *opCollec
 					name = "column"
 				}
 			}
-			outs = append(outs, outCol{name: name, expr: it.Expr, slot: -1})
-		}
-	}
-	cols = make([]string, len(outs))
-	for i, o := range outs {
-		cols[i] = o.name
-	}
-
-	// Validate every column reference in the select list against the layout
-	// so that errors surface even on empty inputs.
-	for _, o := range outs {
-		if o.expr == nil {
+			f, err := rel.env.bind(it.Expr)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			cols, outs = append(cols, name), append(outs, f)
 			continue
 		}
-		var refs []*sqlparse.ColumnRef
-		columnRefs(o.expr, &refs)
-		for _, r := range refs {
-			if _, err := rel.env.resolve(r); err != nil {
+		// Expand in syntactic FROM order, whatever order the joins ran in;
+		// the hidden provenance attributes never expand.
+		found := false
+		for _, ref := range fromRefs(s) {
+			if name := ref.EffectiveName(); it.Table == "" || name == it.Table {
+				found = true
+				for i, b := range rel.env.bindings {
+					if b.table == name && !IsProvColumn(b.name) {
+						cols = append(cols, b.name)
+						outs = append(outs, func(vals []sqlval.Value) (sqlval.Value, error) { return vals[i], nil })
+					}
+				}
+			}
+		}
+		if it.Table != "" && !found {
+			return nil, nil, nil, fmt.Errorf("table %q does not exist in FROM clause", it.Table)
+		}
+	}
+
+	// ORDER BY keys: a bare identifier that names no input column but an
+	// output column orders by that output (out ≥ 0).
+	type sortKey struct {
+		out  int
+		eval evalFn
+	}
+	keys := make([]sortKey, len(s.OrderBy))
+	for k, ob := range s.OrderBy {
+		keys[k].out = -1
+		if cr, ok := ob.Expr.(*sqlparse.ColumnRef); ok && cr.Table == "" {
+			if _, rerr := rel.env.resolve(cr); rerr != nil {
+				keys[k].out = slices.Index(cols, cr.Column)
+			}
+		}
+		if keys[k].out < 0 {
+			if keys[k].eval, err = rel.env.bind(ob.Expr); err != nil {
 				return nil, nil, nil, err
 			}
 		}
@@ -804,47 +796,23 @@ func project(s *sqlparse.Select, ar *aggRelation, withLineage bool, oc *opCollec
 		keys    []sqlval.Value
 		lineage []TupleRef
 	}
-	aliasIndex := func(name string) int {
-		for i, o := range outs {
-			if o.name == name {
-				return i
-			}
-		}
-		return -1
-	}
-	var outRows []outRow
-	for ti, t := range rel.tuples {
-		var agg map[sqlparse.Expr]sqlval.Value
-		if ar.aggs != nil {
-			agg = ar.aggs[ti]
-		}
+	outRows := make([]outRow, 0, len(rel.tuples))
+	for _, t := range rel.tuples {
 		r := outRow{vals: make([]sqlval.Value, len(outs)), lineage: t.lineage}
-		for i, o := range outs {
-			if o.expr == nil {
-				r.vals[i] = t.vals[o.slot]
-				continue
-			}
-			v, err := evalExpr(o.expr, &rel.env, t.vals, agg)
-			if err != nil {
+		for i, f := range outs {
+			if r.vals[i], err = f(t.vals); err != nil {
 				return nil, nil, nil, err
 			}
-			r.vals[i] = v
 		}
-		for _, ob := range s.OrderBy {
-			// A bare identifier matching an output alias orders by that output.
-			if cr, ok := ob.Expr.(*sqlparse.ColumnRef); ok && cr.Table == "" {
-				if i := aliasIndex(cr.Column); i >= 0 {
-					if _, rerr := rel.env.resolve(cr); rerr != nil {
-						r.keys = append(r.keys, r.vals[i])
-						continue
-					}
+		if len(keys) > 0 {
+			r.keys = make([]sqlval.Value, len(keys))
+			for k, key := range keys {
+				if key.eval == nil {
+					r.keys[k] = r.vals[key.out]
+				} else if r.keys[k], err = key.eval(t.vals); err != nil {
+					return nil, nil, nil, err
 				}
 			}
-			v, err := evalExpr(ob.Expr, &rel.env, t.vals, agg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			r.keys = append(r.keys, v)
 		}
 		outRows = append(outRows, r)
 	}

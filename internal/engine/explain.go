@@ -83,14 +83,6 @@ func (oc *opCollector) execEst(op, detail string, est float64, f func() (int, er
 	return err
 }
 
-// dropLast discards the most recent record (used when a stage turns out to
-// be a no-op, like aggregate over a plain query).
-func (oc *opCollector) dropLast() {
-	if oc != nil && len(oc.recs) > 0 {
-		oc.recs = oc.recs[:len(oc.recs)-1]
-	}
-}
-
 // execExplainStmt serves EXPLAIN and EXPLAIN ANALYZE.
 func (s *Session) execExplainStmt(ex *sqlparse.Explain, opts ExecOptions, res *Result) error {
 	res.Columns = []string{"op", "detail", "est_rows", "rows", "time_ns"}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"ldv/internal/sqlval"
@@ -216,5 +218,101 @@ func TestValuesWidenOnInsertSelect(t *testing.T) {
 	res := mustExec(t, db, "SELECT a FROM dst", ExecOptions{})
 	if res.Rows[0][0].Kind() != sqlval.KindFloat {
 		t.Fatal("insert-select must widen int to float")
+	}
+}
+
+// TestIntegersBeyond2p53AreExact checks that INTEGERs that round to the
+// same float64 stay distinct in comparisons, primary keys, GROUP BY and
+// DISTINCT, and that an INTEGER equals a FLOAT only at the same exact value.
+func TestIntegersBeyond2p53AreExact(t *testing.T) {
+	db := newTestDB(t, "CREATE TABLE t (a INTEGER PRIMARY KEY, f FLOAT)")
+	mustExec(t, db, "INSERT INTO t VALUES (9007199254740992, 9007199254740992.0)", ExecOptions{})
+	mustExec(t, db, "INSERT INTO t VALUES (9007199254740993, 9007199254740992.0)", ExecOptions{})
+	if _, err := db.Exec("INSERT INTO t VALUES (9007199254740993, 0.0)", ExecOptions{}); err == nil {
+		t.Error("a second 9007199254740993 must be a duplicate primary key")
+	}
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT a FROM t WHERE a = 9007199254740993", "9007199254740993"},
+		{"SELECT a FROM t WHERE a < 9007199254740993", "9007199254740992"},
+		{"SELECT a FROM t WHERE a = f", "9007199254740992"},
+		{"SELECT a FROM t WHERE a > f", "9007199254740993"},
+		{"SELECT COUNT(*) FROM t GROUP BY a", "1,1"},
+		{"SELECT COUNT(DISTINCT a) FROM t", "2"},
+		{"SELECT DISTINCT a FROM t", "9007199254740992,9007199254740993"},
+		{"SELECT DISTINCT x.a FROM t x JOIN t y ON x.a = y.f", "9007199254740992"},
+	} {
+		rows := rowsToStrings(mustExec(t, db, c.sql, ExecOptions{}))
+		sort.Strings(rows)
+		if got := strings.Join(rows, ","); got != c.want {
+			t.Errorf("%s = %s, want %s", c.sql, got, c.want)
+		}
+	}
+}
+
+// TestIntegerOverflowIsAnError checks that INTEGER arithmetic and SUM
+// report "integer out of range" instead of wrapping.
+func TestIntegerOverflowIsAnError(t *testing.T) {
+	db := newTestDB(t, "CREATE TABLE t (a INTEGER)")
+	mustExec(t, db, "INSERT INTO t VALUES (9223372036854775807), (1)", ExecOptions{})
+	for _, sql := range []string{
+		"SELECT 9223372036854775807 + 1",
+		"SELECT -9223372036854775807 - 2",
+		"SELECT 4611686018427387904 * 2",
+		"SELECT -(-9223372036854775807 - 1)",
+		"SELECT (-9223372036854775807 - 1) / -1",
+		"SELECT SUM(a) FROM t",
+		"UPDATE t SET a = a + 1",
+	} {
+		if _, err := db.Exec(sql, ExecOptions{}); err == nil || !strings.Contains(err.Error(), "integer out of range") {
+			t.Errorf("%s: err = %v, want integer out of range", sql, err)
+		}
+	}
+	res := mustExec(t, db, "SELECT 9223372036854775806 + 1, (-9223372036854775807 - 1) % -1, SUM(a - 1) FROM t", ExecOptions{})
+	if got := rowsToStrings(res)[0]; got != "9223372036854775807|0|9223372036854775806" {
+		t.Errorf("in-range results = %s", got)
+	}
+}
+
+// TestLogicRejectsNonBooleanOperands checks that AND and OR reject a
+// non-boolean operand as NOT does, so SELECT and UPDATE agree on a WHERE
+// clause the planner splits into conjuncts.
+func TestLogicRejectsNonBooleanOperands(t *testing.T) {
+	db := newTestDB(t, "CREATE TABLE t (a INTEGER, b TEXT)")
+	mustExec(t, db, "INSERT INTO t VALUES (5, 'x')", ExecOptions{})
+	for _, sql := range []string{
+		"SELECT 5 AND TRUE",
+		"SELECT 5 OR FALSE",
+		"SELECT NOT 5",
+		"UPDATE t SET b = 'y' WHERE a AND TRUE",
+		"UPDATE t SET b = 'y' WHERE a OR TRUE",
+	} {
+		if _, err := db.Exec(sql, ExecOptions{}); err == nil || !strings.Contains(err.Error(), "requires a boolean operand") {
+			t.Errorf("%s: err = %v, want a boolean-operand error", sql, err)
+		}
+	}
+	if res := mustExec(t, db, "SELECT a FROM t WHERE a AND TRUE", ExecOptions{}); len(res.Rows) != 0 {
+		t.Errorf("SELECT WHERE a AND TRUE = %v, want no rows", rowsToStrings(res))
+	}
+	if res := mustExec(t, db, "SELECT b FROM t", ExecOptions{}); rowsToStrings(res)[0] != "x" {
+		t.Errorf("b = %v after the failed UPDATEs, want x", rowsToStrings(res))
+	}
+}
+
+// TestBindErrorsOnEmptyInput checks that an unknown column anywhere in a
+// SELECT is an error whether or not any row reaches its operator.
+func TestBindErrorsOnEmptyInput(t *testing.T) {
+	db := newTestDB(t, "CREATE TABLE t (a INTEGER)", "CREATE TABLE u (a INTEGER)")
+	for _, sql := range []string{
+		"SELECT a FROM t GROUP BY nosuch",
+		"SELECT SUM(nosuch) FROM t",
+		"SELECT COUNT(*) FROM t GROUP BY a HAVING MAX(nosuch) > 0",
+		"SELECT a FROM t ORDER BY nosuch",
+		"SELECT t.a FROM t JOIN u ON t.a = u.nosuch",
+		"UPDATE t SET a = nosuch",
+		"DELETE FROM t WHERE nosuch = 1",
+	} {
+		if _, err := db.Exec(sql, ExecOptions{}); err == nil || !strings.Contains(err.Error(), "does not exist") {
+			t.Errorf("%s: err = %v, want does not exist", sql, err)
+		}
 	}
 }

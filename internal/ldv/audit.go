@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ldv/internal/obs"
-	"ldv/internal/osim"
 )
 
 // Audit runs the given applications under full LDV monitoring — the
@@ -92,16 +91,4 @@ func Run(m *Machine, apps []App) error {
 	}
 	root.Exit()
 	return runErr
-}
-
-// RunApps spawns already-installed applications against an already-running
-// runtime/server — the fine-grained primitive the benchmark harness uses to
-// time individual steps.
-func RunApps(k *osim.Kernel, root *osim.Process, apps []App) error {
-	for _, app := range apps {
-		if err := root.Spawn(app.Binary, app.Libs...); err != nil {
-			return fmt.Errorf("run %s: %w", app.Binary, err)
-		}
-	}
-	return nil
 }

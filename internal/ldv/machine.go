@@ -52,11 +52,10 @@ type Machine struct {
 	DataDir  string
 	Database string
 
-	mu        sync.Mutex
-	listener  *osim.Listener
-	handle    *osim.ProcHandle
-	serverPID int
-	ready     chan error
+	mu       sync.Mutex
+	listener *osim.Listener
+	handle   *osim.ProcHandle
+	ready    chan error
 }
 
 // NewMachine boots a machine with standard libraries, a server binary, and
@@ -147,7 +146,6 @@ func (m *Machine) serverProgram(sp *osim.Process) error {
 	}
 	m.mu.Lock()
 	m.listener = l
-	m.serverPID = sp.PID
 	m.mu.Unlock()
 	m.signalReady(nil)
 	_ = m.Server.Serve(l) // returns when the listener is closed
@@ -217,11 +215,4 @@ func (m *Machine) StopServer() error {
 	}
 	l.Close()
 	return h.Wait()
-}
-
-// ServerPID returns the server process's pid (0 before the first start).
-func (m *Machine) ServerPID() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.serverPID
 }

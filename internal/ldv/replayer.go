@@ -40,13 +40,6 @@ func (r *Replayer) Session(p *osim.Process) ([]client.Interceptor, error) {
 	return []client.Interceptor{&replayInterceptor{log: log}}, nil
 }
 
-// Remaining reports how many recorded sessions have not been replayed yet.
-func (r *Replayer) Remaining() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.sessions) - r.next
-}
-
 type replayInterceptor struct {
 	client.BaseInterceptor
 	mu   sync.Mutex

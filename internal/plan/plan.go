@@ -170,14 +170,12 @@ func (n *ValuesNode) EstRows() float64     { return 1 }
 func (n *ValuesNode) Children() []Node     { return nil }
 func (n *ValuesNode) Lineage() LineageMode { return LineageNone }
 
-// FilterNode applies AND-connected conjuncts. Resolved marks filters whose
-// column references the planner proved to bind in the input; the final
-// leftover filter is unresolved and the executor validates it at runtime
-// (surfacing "no such column" / "aggregates in WHERE" errors).
+// FilterNode applies AND-connected conjuncts. The executor binds them to
+// its input's layout before any row, so a conjunct naming no input column
+// (the final leftover filter can) fails the statement even on empty input.
 type FilterNode struct {
 	Input     Node
 	Conjuncts []sqlparse.Expr
-	Resolved  bool
 	Est       float64
 }
 

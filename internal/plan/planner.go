@@ -392,7 +392,7 @@ func (p *planner) joinTree() Node {
 		}
 		if len(post) > 0 {
 			curEst = filteredEst(curEst, len(post))
-			cur = &FilterNode{Input: cur, Conjuncts: post, Resolved: true, Est: curEst}
+			cur = &FilterNode{Input: cur, Conjuncts: post, Est: curEst}
 		}
 	}
 
@@ -465,12 +465,12 @@ func (p *planner) withConstFilters(n Node) Node {
 	if len(consts) == 0 {
 		return n
 	}
-	if f, isF := n.(*FilterNode); isF && f.Resolved {
+	if f, isF := n.(*FilterNode); isF {
 		nf := *f
 		nf.Conjuncts = append(append([]sqlparse.Expr(nil), f.Conjuncts...), consts...)
 		return &nf
 	}
-	return &FilterNode{Input: n, Conjuncts: consts, Resolved: true, Est: n.EstRows()}
+	return &FilterNode{Input: n, Conjuncts: consts, Est: n.EstRows()}
 }
 
 // planLeaf builds the access path for one ref given the pushable conjunct
@@ -506,7 +506,7 @@ func (p *planner) planLeaf(ref int, pushed []int) Node {
 			exprs[i] = p.conjuncts[ci]
 			p.conj[ci].used = true
 		}
-		access = &FilterNode{Input: access, Conjuncts: exprs, Resolved: true,
+		access = &FilterNode{Input: access, Conjuncts: exprs,
 			Est: filteredEst(access.EstRows(), len(exprs))}
 	}
 	return access

@@ -1,10 +1,24 @@
 package sqlval
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // Arithmetic on values follows SQL semantics: any operation with a NULL
-// operand yields NULL; INTEGER op INTEGER stays INTEGER (except division by
-// zero, which errors); mixed numeric operations promote to FLOAT.
+// operand yields NULL; INTEGER op INTEGER stays INTEGER (division by zero
+// and results outside 64 bits error, as PostgreSQL's bigint does); mixed
+// numeric operations promote to FLOAT.
+
+// ErrIntRange is the error of an INTEGER result that does not fit 64 bits.
+var ErrIntRange = errors.New("integer out of range")
+
+// AddInt returns a + b and whether it fits 64 bits.
+func AddInt(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (s > a) == (b > 0)
+}
 
 // Add returns v + o.
 func Add(v, o Value) (Value, error) { return arith(v, o, "+") }
@@ -32,24 +46,31 @@ func arith(v, o Value, op string) (Value, error) {
 	}
 	if v.kind == KindInt && o.kind == KindInt {
 		a, b := v.i, o.i
+		r, ok := int64(0), true
 		switch op {
 		case "+":
-			return NewInt(a + b), nil
+			r, ok = AddInt(a, b)
 		case "-":
-			return NewInt(a - b), nil
+			r = a - b
+			ok = (r < a) == (b > 0)
 		case "*":
-			return NewInt(a * b), nil
+			r = a * b
+			ok = a == 0 || (r/a == b && !(a == -1 && b == math.MinInt64))
 		case "/":
 			if b == 0 {
 				return Null, fmt.Errorf("division by zero")
 			}
-			return NewInt(a / b), nil
+			r, ok = a/b, !(a == math.MinInt64 && b == -1)
 		case "%":
 			if b == 0 {
 				return Null, fmt.Errorf("division by zero")
 			}
 			return NewInt(a % b), nil
 		}
+		if !ok {
+			return Null, ErrIntRange
+		}
+		return NewInt(r), nil
 	}
 	a, _ := v.AsFloat()
 	b, _ := o.AsFloat()
@@ -77,6 +98,9 @@ func Neg(v Value) (Value, error) {
 	case KindNull:
 		return Null, nil
 	case KindInt:
+		if v.i == math.MinInt64 {
+			return Null, ErrIntRange
+		}
 		return NewInt(-v.i), nil
 	case KindFloat:
 		return NewFloat(-v.f), nil

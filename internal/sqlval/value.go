@@ -6,6 +6,7 @@
 package sqlval
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -202,14 +203,13 @@ func (v Value) SQLLiteral() string {
 }
 
 // Equal reports strict equality of kind and payload. NULL equals NULL here;
-// use Compare for SQL three-valued semantics.
+// use Compare for SQL three-valued semantics. INTEGER and FLOAT are equal
+// when their exact values are (NaN equals nothing).
 func (v Value) Equal(o Value) bool {
 	if v.kind != o.kind {
-		// INTEGER and FLOAT compare numerically across kinds.
 		if v.IsNumeric() && o.IsNumeric() {
-			a, _ := v.AsFloat()
-			b, _ := o.AsFloat()
-			return a == b
+			c, _ := Cmp(&v, &o)
+			return c == 0 && v.f == v.f && o.f == o.f
 		}
 		return false
 	}
@@ -227,50 +227,60 @@ func (v Value) Equal(o Value) bool {
 
 // Compare orders two values. The second result is false when the comparison
 // is UNKNOWN under SQL semantics (either side NULL) or the kinds are
-// incomparable. Numeric kinds compare across INTEGER/FLOAT.
-func (v Value) Compare(o Value) (cmp int, ok bool) {
-	if v.kind == KindNull || o.kind == KindNull {
+// incomparable. Numeric kinds compare across INTEGER/FLOAT by exact value.
+func (v Value) Compare(o Value) (c int, ok bool) { return Cmp(&v, &o) }
+
+// Cmp is Compare on pointers, so that predicate kernels compare stored
+// values without copying them. Same-kind operands take the first switch.
+func Cmp(a, b *Value) (int, bool) {
+	if a.kind == b.kind {
+		switch a.kind {
+		case KindInt, KindDate, KindBool:
+			return cmp.Compare(a.i, b.i), true
+		case KindString:
+			return strings.Compare(a.s, b.s), true
+		case KindFloat:
+			return cmpFloat(a.f, b.f), true
+		}
 		return 0, false
 	}
-	if v.IsNumeric() && o.IsNumeric() {
-		a, _ := v.AsFloat()
-		b, _ := o.AsFloat()
-		switch {
-		case a < b:
-			return -1, true
-		case a > b:
-			return 1, true
-		default:
-			return 0, true
-		}
+	switch {
+	case a.kind == KindInt && b.kind == KindFloat:
+		return cmpIntFloat(a.i, b.f), true
+	case a.kind == KindFloat && b.kind == KindInt:
+		return -cmpIntFloat(b.i, a.f), true
 	}
-	if v.kind != o.kind {
-		return 0, false
+	return 0, false
+}
+
+// cmpFloat orders floats. NaN is unordered, so it compares equal to
+// everything.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
 	}
-	switch v.kind {
-	case KindString:
-		return strings.Compare(v.s, o.s), true
-	case KindBool, KindDate, KindInt:
-		switch {
-		case v.i < o.i:
-			return -1, true
-		case v.i > o.i:
-			return 1, true
-		default:
-			return 0, true
-		}
-	case KindFloat:
-		switch {
-		case v.f < o.f:
-			return -1, true
-		case v.f > o.f:
-			return 1, true
-		default:
-			return 0, true
-		}
-	default:
-		return 0, false
+	return 0
+}
+
+// cmpIntFloat orders an INTEGER against a FLOAT by exact value, where a
+// conversion to float64 would round INTEGERs beyond 2^53.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 0
+	case f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
 	}
+	t := int64(f) // truncated toward zero; exact, and float64(t) too
+	if c := cmp.Compare(i, t); c != 0 {
+		return c
+	}
+	return cmpFloat(float64(t), f)
 }
 
 // SortLess orders values for ORDER BY: NULLs sort first, then by Compare,
@@ -300,12 +310,15 @@ const (
 	keyBool   = 'b'
 	keyDate   = 'd'
 	keyNumber = 'n'
+	keyInt    = 'i'
 )
 
 // AppendKey appends v's in-memory hash key to buf: a kind tag, then a
 // length-prefixed string, an 8-byte int (DATE, BOOLEAN), or the float64
 // bits of a numeric. INTEGER and FLOAT share the numeric encoding so that 1
-// and 1.0 collide, −0 is folded into 0 and every NaN into one NaN. The
+// and 1.0 collide, −0 is folded into 0 and every NaN into one NaN; an
+// INTEGER that float64 cannot represent exactly equals no FLOAT, so it
+// keeps its own tag and all 64 bits. The
 // encoding is self-delimiting: the concatenated keys of two tuples are
 // equal exactly when the tuples are element-wise key-equal, which is what
 // GROUP BY, DISTINCT and multi-column hash joins build on. Keys are never
@@ -321,6 +334,11 @@ func (v Value) AppendKey(buf []byte) []byte {
 		return binary.LittleEndian.AppendUint64(append(buf, keyBool), uint64(v.i))
 	case KindDate:
 		return binary.LittleEndian.AppendUint64(append(buf, keyDate), uint64(v.i))
+	case KindInt:
+		if f := float64(v.i); f == 0x1p63 || int64(f) != v.i {
+			return binary.LittleEndian.AppendUint64(append(buf, keyInt), uint64(v.i))
+		}
+		fallthrough
 	default:
 		f, _ := v.AsFloat()
 		bits := math.Float64bits(f)

@@ -211,9 +211,12 @@ func TestAppendKey(t *testing.T) {
 		{"NaN vs null", []Value{nan}, []Value{Null}, false},
 		{"max vs min int", []Value{NewInt(math.MaxInt64)}, []Value{NewInt(math.MinInt64)}, false},
 		{"2^53 int vs float", []Value{NewInt(1 << 53)}, []Value{NewFloat(1 << 53)}, true},
-		// Numerics compare as float64 (as Compare does), so integers beyond
-		// 2^53 that round to the same float share a key.
-		{"2^53+1 vs 2^53", []Value{NewInt(1<<53 + 1)}, []Value{NewInt(1 << 53)}, true},
+		// Numerics compare by exact value (as Compare does), so integers
+		// beyond 2^53 that round to the same float keep distinct keys.
+		{"2^53+1 vs 2^53", []Value{NewInt(1<<53 + 1)}, []Value{NewInt(1 << 53)}, false},
+		{"2^53+1 vs float 2^53", []Value{NewInt(1<<53 + 1)}, []Value{NewFloat(1 << 53)}, false},
+		{"min int vs float -2^63", []Value{NewInt(math.MinInt64)}, []Value{NewFloat(-0x1p63)}, true},
+		{"max int vs float 2^63", []Value{NewInt(math.MaxInt64)}, []Value{NewFloat(0x1p63)}, false},
 		{"date vs int", []Value{NewDateDays(5)}, []Value{NewInt(5)}, false},
 		{"bool vs int", []Value{NewBool(true)}, []Value{NewInt(1)}, false},
 		{"text 1 vs int 1", []Value{NewString("1")}, []Value{NewInt(1)}, false},
