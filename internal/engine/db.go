@@ -471,12 +471,8 @@ func (db *DB) RestoreRow(table string, id RowID, version uint64, proc string, va
 	if err != nil {
 		return err
 	}
-	for {
-		cur := db.nextRow.Load()
-		if uint64(id) <= cur || db.nextRow.CompareAndSwap(cur, uint64(id)) {
-			return nil
-		}
-	}
+	raiseTo(&db.nextRow, uint64(id))
+	return nil
 }
 
 // ScanAll returns every tuple version of a table visible to a fresh snapshot

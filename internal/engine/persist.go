@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"path"
+	"slices"
+	"sort"
 	"strings"
+	"sync/atomic"
 
 	"ldv/internal/sqlval"
 )
@@ -124,13 +128,15 @@ func (db *DB) Checkpoint(fs FileSystem, dir string) error {
 }
 
 // LoadDir reads every <table>.tbl file in dir into the database, replacing
-// any same-named tables.
+// any same-named tables. It is all-or-nothing: every file is decoded before
+// any table is installed, so an unreadable or corrupt file leaves the
+// database as it was.
 func (db *DB) LoadDir(fs FileSystem, dir string) error {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("load data dir: %w", err)
 	}
-	var maxTS uint64
+	var loaded []loadedTable
 	for _, n := range names {
 		if !strings.HasSuffix(n, ".tbl") {
 			continue
@@ -139,70 +145,105 @@ func (db *DB) LoadDir(fs FileSystem, dir string) error {
 		if err != nil {
 			return fmt.Errorf("load table file %s: %w", n, err)
 		}
-		t, maxRow, horizon, err := decodeTable(data)
+		lt, err := decodeTable(data)
 		if err != nil {
 			return fmt.Errorf("decode table file %s: %w", n, err)
 		}
-		db.mu.Lock()
-		db.tables[t.Name] = t
-		db.mu.Unlock()
-		if horizon > db.vacuumHorizon.Load() {
-			db.vacuumHorizon.Store(horizon)
-		}
-		for _, r := range t.rows {
-			if r.version > maxTS {
-				maxTS = r.version
-			}
-			if r.end > maxTS {
-				maxTS = r.end
-			}
-		}
-		for {
-			cur := db.nextRow.Load()
-			if uint64(maxRow) <= cur || db.nextRow.CompareAndSwap(cur, uint64(maxRow)) {
-				break
-			}
-		}
+		loaded = append(loaded, lt)
 	}
-	// Advance the clock past every loaded stamp: dead versions carry end
-	// stamps, and a fresh clock behind them would read the ends as
-	// still-in-the-future (the versions would look alive again).
-	if adv, ok := db.clock.(ClockAdvancer); ok {
-		adv.AdvanceTo(maxTS)
-	}
+	db.install(loaded...)
 	return nil
 }
 
+// loadedTable is a decoded table file, not yet in the catalog.
+type loadedTable struct {
+	t       *Table
+	maxRow  RowID
+	maxTS   uint64 // highest begin or end stamp of any version
+	horizon uint64 // retention horizon the file was written under
+}
+
+// install puts decoded tables into the catalog, replacing same-named ones,
+// and advances the row-id generator, the retention horizon and the clock
+// past everything they hold. The clock matters for dead versions: a fresh
+// clock behind their end stamps would read the ends as still in the future,
+// and the versions would look alive again.
+func (db *DB) install(loaded ...loadedTable) {
+	var maxRow, maxTS, horizon uint64
+	db.mu.Lock()
+	for _, lt := range loaded {
+		db.tables[lt.t.Name] = lt.t
+		maxRow = max(maxRow, uint64(lt.maxRow))
+		maxTS = max(maxTS, lt.maxTS)
+		horizon = max(horizon, lt.horizon)
+	}
+	db.mu.Unlock()
+	raiseTo(&db.nextRow, maxRow)
+	raiseTo(&db.vacuumHorizon, horizon)
+	if adv, ok := db.clock.(ClockAdvancer); ok {
+		adv.AdvanceTo(maxTS)
+	}
+}
+
+// raiseTo raises a to at least v.
+func raiseTo(a *atomic.Uint64, v uint64) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// Table file layout, after the magic: the table name; the columns (name,
+// type byte, primary-key byte); the live rows (id, version, proc, stmt,
+// usedBy, values); the secondary-index definitions (name, column, kind); the
+// dead versions (id, version, end, proc, stmt, values); the retention
+// horizon. Counts and integers are varints, strings are length-prefixed.
+// The index and dead-version sections are optional on decode: files written
+// before indexes or vacuum existed end after the rows.
+
+// encodeTable writes the image of t that snap sees. A first pass counts the
+// rows of each section from the version headers alone; the image is then
+// written into one buffer sized from the table's last image (the file it
+// was loaded from, or its last checkpoint) plus an eighth, so unless the
+// table grew by more than that it is never copied to a larger one. Sizing
+// it exactly would take a second read of every value, which costs more
+// than the copies it saves.
 func encodeTable(t *Table, snap snapshot, horizon uint64) []byte {
-	buf := []byte(tableFileMagic)
+	var nlive, ndead int
+	for _, r := range t.rows {
+		switch {
+		case snap.visible(r):
+			nlive++
+		case deadInImage(r, snap):
+			ndead++
+		}
+	}
+	last := int(t.imageSize.Load())
+	buf := make([]byte, 0, last+last/8)
+	buf = append(buf, tableFileMagic...)
 	buf = appendString(buf, t.Name)
 	buf = binary.AppendUvarint(buf, uint64(len(t.Schema.Columns)))
 	for _, c := range t.Schema.Columns {
 		buf = appendString(buf, c.Name)
-		buf = append(buf, byte(c.Type))
+		pk := byte(0)
 		if c.PrimaryKey {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
+			pk = 1
 		}
+		buf = append(buf, byte(c.Type), pk)
 	}
-	visible := make([]*storedRow, 0, len(t.rows))
+	buf = binary.AppendUvarint(buf, uint64(nlive))
 	for _, r := range t.rows {
 		if snap.visible(r) {
-			visible = append(visible, r)
+			buf = binary.AppendUvarint(buf, uint64(r.id))
+			buf = binary.AppendUvarint(buf, r.version)
+			buf = appendString(buf, r.proc)
+			buf = binary.AppendVarint(buf, r.stmt)
+			buf = binary.AppendVarint(buf, r.usedBy.Load())
+			buf = sqlval.EncodeRow(buf, r.vals)
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(visible)))
-	for _, r := range visible {
-		buf = binary.AppendUvarint(buf, uint64(r.id))
-		buf = binary.AppendUvarint(buf, r.version)
-		buf = appendString(buf, r.proc)
-		buf = binary.AppendVarint(buf, r.stmt)
-		buf = binary.AppendVarint(buf, r.usedBy.Load())
-		buf = sqlval.EncodeRow(buf, r.vals)
-	}
-	// Secondary-index definitions follow the rows. Older table files end
-	// here; decodeTable treats the section as optional.
 	idxs := t.indexList()
 	buf = binary.AppendUvarint(buf, uint64(len(idxs)))
 	for _, ix := range idxs {
@@ -210,205 +251,165 @@ func encodeTable(t *Table, snap snapshot, horizon uint64) []byte {
 		buf = appendString(buf, ix.column)
 		buf = appendString(buf, ix.kind)
 	}
-	// Time-travel section (also optional on decode): committed dead versions
-	// — the history AS OF and reenactment read — and the retention horizon.
-	// Without it a checkpoint would silently vacuum everything it supersedes
-	// in the WAL.
-	dead := make([]*storedRow, 0)
+	// The dead versions are the history AS OF and reenactment read. Without
+	// them a checkpoint would silently vacuum everything it supersedes in
+	// the WAL.
+	buf = binary.AppendUvarint(buf, uint64(ndead))
 	for _, r := range t.rows {
-		if r.end == 0 || snap.visible(r) {
-			continue
+		if deadInImage(r, snap) {
+			buf = binary.AppendUvarint(buf, uint64(r.id))
+			buf = binary.AppendUvarint(buf, r.version)
+			buf = binary.AppendUvarint(buf, r.end)
+			buf = appendString(buf, r.proc)
+			buf = binary.AppendVarint(buf, r.stmt)
+			buf = sqlval.EncodeRow(buf, r.vals)
 		}
-		if _, open := snap.active[r.txnID]; open {
-			continue // uncommitted insert: its record sits beyond the WAL cut
-		}
-		if _, open := snap.active[r.endTxn]; open {
-			continue // end mark not committed (the row was encoded live above)
-		}
-		dead = append(dead, r)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(dead)))
-	for _, r := range dead {
-		buf = binary.AppendUvarint(buf, uint64(r.id))
-		buf = binary.AppendUvarint(buf, r.version)
-		buf = binary.AppendUvarint(buf, r.end)
-		buf = appendString(buf, r.proc)
-		buf = binary.AppendVarint(buf, r.stmt)
-		buf = sqlval.EncodeRow(buf, r.vals)
 	}
 	buf = binary.AppendUvarint(buf, horizon)
+	t.imageSize.Store(int64(len(buf)))
 	return buf
 }
 
-func decodeTable(data []byte) (*Table, RowID, uint64, error) {
-	if len(data) < len(tableFileMagic) || string(data[:len(tableFileMagic)]) != tableFileMagic {
-		return nil, 0, 0, fmt.Errorf("bad table file magic")
+// deadInImage reports whether a version the snapshot does not see belongs
+// in the image's dead-version section: its insert and its end mark are both
+// committed.
+func deadInImage(r *storedRow, snap snapshot) bool {
+	if r.end == 0 || snap.visible(r) {
+		return false
 	}
-	b := data[len(tableFileMagic):]
-	name, b, err := readString(b)
-	if err != nil {
-		return nil, 0, 0, err
+	if _, open := snap.active[r.txnID]; open {
+		return false // uncommitted insert: its record sits beyond the WAL cut
 	}
-	ncols, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, 0, 0, fmt.Errorf("bad column count")
+	_, open := snap.active[r.endTxn]
+	return !open // an uncommitted end mark leaves the row in the live section
+}
+
+// Minimum encoded sizes, for checking counts before allocating: a column is
+// a name length, a type and a pk flag; a row is five one-byte varints (a
+// dead row's proc length among them) and a value count, then one tag byte
+// per column; an index definition is three string lengths.
+const (
+	minColumnSize = 3
+	minRowSize    = 6
+	minIndexSize  = 3
+)
+
+// decodeTable decodes a table file. Whatever the row count, it allocates a
+// constant number of times: one storedRow arena and one value arena per
+// section, one copy of data that every string is sliced from (so nothing
+// aliases data, which may be a wire frame), and the primary-key index
+// (whose Go map still grows its own tables). Each count is checked against
+// the bytes that remain before anything is allocated for it.
+func decodeTable(data []byte) (loadedTable, error) {
+	var lt loadedTable
+	if !bytes.HasPrefix(data, []byte(tableFileMagic)) {
+		return lt, fmt.Errorf("bad table file magic")
 	}
-	b = b[n:]
-	schema := Schema{}
-	for i := uint64(0); i < ncols; i++ {
-		var cname string
-		cname, b, err = readString(b)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if len(b) < 2 {
-			return nil, 0, 0, fmt.Errorf("truncated column def")
-		}
-		schema.Columns = append(schema.Columns, Column{
-			Name: cname, Type: sqlval.Kind(b[0]), PrimaryKey: b[1] == 1,
-		})
-		b = b[2:]
+	d := sqlval.NewDecoder(data[len(tableFileMagic):])
+	name := d.String()
+	schema := Schema{Columns: make([]Column, d.Count(minColumnSize))}
+	for i := range schema.Columns {
+		c := &schema.Columns[i]
+		c.Name = d.String()
+		c.Type = sqlval.Kind(d.Byte())
+		c.PrimaryKey = d.Byte() == 1
+	}
+	ncols := len(schema.Columns)
+	live := make([]storedRow, d.Count(minRowSize+ncols))
+	if err := d.Err(); err != nil {
+		return lt, fmt.Errorf("table file header: %w", err)
 	}
 	t := newTable(name, schema)
-	nrows, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, 0, 0, fmt.Errorf("bad row count")
+	vals := make([]sqlval.Value, len(live)*ncols)
+	t.rows = make([]*storedRow, len(live))
+	for i := range live {
+		r := &live[i]
+		r.id = RowID(d.Uvarint())
+		r.version = d.Uvarint()
+		r.proc = d.String()
+		r.stmt = d.Varint()
+		r.usedBy.Store(d.Varint())
+		r.vals = vals[i*ncols : (i+1)*ncols : (i+1)*ncols]
+		d.Row(r.vals)
+		if err := d.Err(); err != nil {
+			return lt, fmt.Errorf("row %d: %w", i, err)
+		}
+		if err := t.checkRow(r.vals); err != nil {
+			return lt, err
+		}
+		t.rows[i] = r
+		lt.maxRow = max(lt.maxRow, r.id)
+		lt.maxTS = max(lt.maxTS, r.version)
 	}
-	b = b[n:]
-	var maxRow RowID
-	for i := uint64(0); i < nrows; i++ {
-		id, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("bad row id")
-		}
-		b = b[n:]
-		version, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("bad row version")
-		}
-		b = b[n:]
-		var proc string
-		proc, b, err = readString(b)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		stmt, n := binary.Varint(b)
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("bad row stmt")
-		}
-		b = b[n:]
-		usedBy, n := binary.Varint(b)
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("bad row usedBy")
-		}
-		b = b[n:]
-		vals, used, err := sqlval.DecodeRow(b)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		b = b[used:]
-		r := &storedRow{id: RowID(id), vals: vals, version: version, proc: proc, stmt: stmt}
-		r.usedBy.Store(usedBy)
-		if err := t.insertRow(r); err != nil {
-			return nil, 0, 0, err
-		}
-		if r.id > maxRow {
-			maxRow = r.id
-		}
+	if err := t.rebuildPK(); err != nil {
+		return lt, err
 	}
-	// Optional trailing section: secondary-index definitions (absent in
-	// table files written before indexes existed).
-	if len(b) > 0 {
-		nidx, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("bad index count")
-		}
-		b = b[n:]
-		for i := uint64(0); i < nidx; i++ {
-			var iname, icol, ikind string
-			if iname, b, err = readString(b); err != nil {
-				return nil, 0, 0, err
-			}
-			if icol, b, err = readString(b); err != nil {
-				return nil, 0, 0, err
-			}
-			if ikind, b, err = readString(b); err != nil {
-				return nil, 0, 0, err
+	t.versions.Store(int64(len(live)))
+	t.liveRows.Store(int64(len(live)))
+
+	if d.Len() > 0 {
+		idxs := make([]*tableIndex, 0, d.Count(minIndexSize))
+		for i := 0; i < cap(idxs); i++ {
+			iname, icol, ikind := d.String(), d.String(), d.String()
+			if d.Err() != nil {
+				break
 			}
 			pos := t.Schema.ColumnIndex(icol)
 			if pos < 0 {
-				return nil, 0, 0, fmt.Errorf("index %q: no column %q", iname, icol)
+				return lt, fmt.Errorf("index %q: no column %q", iname, icol)
 			}
-			ix := newTableIndex(iname, icol, pos, ikind)
-			t.addIndex(ix)
+			idxs = append(idxs, newTableIndex(iname, icol, pos, ikind))
+		}
+		if err := d.Err(); err != nil {
+			return lt, fmt.Errorf("index section: %w", err)
+		}
+		if len(idxs) > 0 {
+			sort.SliceStable(idxs, func(i, j int) bool { return idxs[i].name < idxs[j].name })
+			t.indexes.Store(&idxs)
 		}
 	}
-	// Optional time-travel section: committed dead versions and the
-	// retention horizon (absent in files written before vacuum existed).
-	var horizon uint64
-	if len(b) > 0 {
-		ndead, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("bad dead-version count")
+	if d.Len() > 0 {
+		dead := make([]storedRow, d.Count(minRowSize+ncols))
+		if err := d.Err(); err != nil {
+			return lt, fmt.Errorf("dead-version count: %w", err)
 		}
-		b = b[n:]
-		for i := uint64(0); i < ndead; i++ {
-			id, n := binary.Uvarint(b)
-			if n <= 0 {
-				return nil, 0, 0, fmt.Errorf("bad dead row id")
+		vals := make([]sqlval.Value, len(dead)*ncols)
+		t.rows = slices.Grow(t.rows, len(dead))
+		for i := range dead {
+			// Dead versions bypass the row check: no pk claim, no live count.
+			r := &dead[i]
+			r.id = RowID(d.Uvarint())
+			r.version = d.Uvarint()
+			r.end = d.Uvarint()
+			r.proc = d.String()
+			r.stmt = d.Varint()
+			r.vals = vals[i*ncols : (i+1)*ncols : (i+1)*ncols]
+			d.Row(r.vals)
+			if err := d.Err(); err != nil {
+				return lt, fmt.Errorf("dead version %d: %w", i, err)
 			}
-			b = b[n:]
-			version, n := binary.Uvarint(b)
-			if n <= 0 {
-				return nil, 0, 0, fmt.Errorf("bad dead row version")
+			if r.end == 0 {
+				return lt, fmt.Errorf("dead version %d has no end stamp", i)
 			}
-			b = b[n:]
-			end, n := binary.Uvarint(b)
-			if n <= 0 {
-				return nil, 0, 0, fmt.Errorf("bad dead row end")
-			}
-			b = b[n:]
-			var proc string
-			proc, b, err = readString(b)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			stmt, n := binary.Varint(b)
-			if n <= 0 {
-				return nil, 0, 0, fmt.Errorf("bad dead row stmt")
-			}
-			b = b[n:]
-			vals, used, err := sqlval.DecodeRow(b)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			b = b[used:]
-			if len(vals) != len(t.Schema.Columns) {
-				return nil, 0, 0, fmt.Errorf("dead row has %d values, schema has %d columns", len(vals), len(t.Schema.Columns))
-			}
-			// Dead versions bypass insertRow: no pk claim, no live count.
-			r := &storedRow{id: RowID(id), vals: vals, version: version, end: end, proc: proc, stmt: stmt}
 			t.rows = append(t.rows, r)
-			t.versions.Add(1)
-			t.deadVersions.Add(1)
-			if r.id > maxRow {
-				maxRow = r.id
-			}
+			lt.maxRow = max(lt.maxRow, r.id)
+			lt.maxTS = max(lt.maxTS, r.version, r.end)
 		}
-		horizon, n = binary.Uvarint(b)
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("bad retention horizon")
+		t.versions.Add(int64(len(dead)))
+		t.deadVersions.Store(int64(len(dead)))
+		lt.horizon = d.Uvarint()
+		if err := d.Err(); err != nil {
+			return lt, fmt.Errorf("retention horizon: %w", err)
 		}
-		b = b[n:]
-		if len(b) != 0 {
-			return nil, 0, 0, fmt.Errorf("table file: %d trailing bytes", len(b))
+		if d.Len() != 0 {
+			return lt, fmt.Errorf("table file: %d trailing bytes", d.Len())
 		}
 	}
 	// Index contents are derived last so they cover the dead versions too.
-	for _, ix := range t.indexList() {
-		ix.rebuild(t.rows)
-	}
-	return t, maxRow, horizon, nil
+	t.rebuildIndexes()
+	t.imageSize.Store(int64(len(data)))
+	lt.t = t
+	return lt, nil
 }
 
 func appendString(buf []byte, s string) []byte {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"path"
@@ -229,5 +230,214 @@ func TestCheckpointLoadCheckpointByteIdentical(t *testing.T) {
 				t.Fatalf("seed %d: %s differs after load/checkpoint round trip", seed, p)
 			}
 		}
+	}
+}
+
+// TestLoadDirAllOrNothing: a corrupt table file anywhere in the directory
+// fails the whole load before any table is installed, so the catalog, the
+// row-id generator, the retention horizon and the clock stay as they were.
+func TestLoadDirAllOrNothing(t *testing.T) {
+	src := newTestDB(t, "CREATE TABLE a (k INT PRIMARY KEY, s TEXT)")
+	for i := 0; i < 50; i++ {
+		mustExec(t, src, fmt.Sprintf("INSERT INTO a VALUES (%d, 'v%d')", i, i), ExecOptions{})
+	}
+	mustExec(t, src, "DELETE FROM a WHERE k < 10", ExecOptions{})
+	fs := newMapFS()
+	if err := src.Checkpoint(fs, "/data"); err != nil {
+		t.Fatal(err)
+	}
+	fs.files["/data/b.tbl"] = []byte("garbage")
+
+	db := newTestDB(t, "CREATE TABLE a (k INT PRIMARY KEY, s TEXT)")
+	mustExec(t, db, "INSERT INTO a VALUES (1, 'mine')", ExecOptions{})
+	before := rowsToStrings(mustExec(t, db, "SELECT k, s, prov_rowid, prov_v FROM a", ExecOptions{}))
+	nextRow, horizon, clock := db.nextRow.Load(), db.vacuumHorizon.Load(), db.ClockNow()
+	if err := db.LoadDir(fs, "/data"); err == nil {
+		t.Fatal("a corrupt b.tbl must fail the load")
+	}
+	if got := db.ClockNow(); got != clock {
+		t.Errorf("clock moved from %d to %d", clock, got)
+	}
+	if got := db.nextRow.Load(); got != nextRow {
+		t.Errorf("row-id generator moved from %d to %d", nextRow, got)
+	}
+	if got := db.vacuumHorizon.Load(); got != horizon {
+		t.Errorf("retention horizon moved from %d to %d", horizon, got)
+	}
+	after := rowsToStrings(mustExec(t, db, "SELECT k, s, prov_rowid, prov_v FROM a", ExecOptions{}))
+	if strings.Join(before, "\n") != strings.Join(after, "\n") {
+		t.Errorf("table a replaced by a failed load:\n%v\nvs\n%v", before, after)
+	}
+	if names := db.TableNames(); len(names) != 1 {
+		t.Errorf("tables after a failed load: %v", names)
+	}
+}
+
+// loadDirAllocs measures the allocations of loading a checkpoint of n rows
+// into a fresh database.
+func loadDirAllocs(t *testing.T, n int) float64 {
+	db := newTestDB(t,
+		"CREATE TABLE f (id INT PRIMARY KEY, fk INT, v FLOAT, tag TEXT)",
+		"CREATE TABLE g (a INT, b TEXT)")
+	for i := 0; i < n; i++ {
+		if _, err := db.InsertRowDirect("f", []sqlval.Value{sqlval.NewInt(int64(i)), sqlval.NewInt(int64(i % 7)),
+			sqlval.NewFloat(float64(i) / 4), sqlval.NewString(fmt.Sprintf("tag-%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.InsertRowDirect("g", []sqlval.Value{sqlval.NewInt(int64(i)), sqlval.NewString("g")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs := newMapFS()
+	if err := db.Checkpoint(fs, "/data"); err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(5, func() {
+		if err := NewDB(nil).LoadDir(fs, "/data"); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestLoadDirAllocationsFlat: decoding a table file allocates arenas, not
+// rows, so loading 10 000 rows allocates about as often as loading 100. The
+// slack covers the primary-key map, which since Go 1.24 allocates its hash
+// table in pieces of at most 1024 slots (about 30 more pieces at 10 000
+// keys).
+func TestLoadDirAllocationsFlat(t *testing.T) {
+	small, large := loadDirAllocs(t, 100), loadDirAllocs(t, 10000)
+	if large > small+48 {
+		t.Errorf("LoadDir allocations grow with rows: %v for 100 rows, %v for 10000", small, large)
+	}
+}
+
+// aliasFS hands out its stored file contents instead of copies, so a test
+// can overwrite the bytes a load read from.
+type aliasFS struct{ *mapFS }
+
+func (a aliasFS) ReadFile(p string) ([]byte, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	d, ok := a.files[p]
+	if !ok {
+		return nil, fmt.Errorf("file %s not found", p)
+	}
+	return d, nil
+}
+
+// tableStrings lists, in order, every string a table holds: its name, its
+// column names, and each version's proc and TEXT values.
+func tableStrings(t *Table) []string {
+	out := []string{t.Name}
+	for _, c := range t.Schema.Columns {
+		out = append(out, c.Name)
+	}
+	for _, r := range t.rows {
+		out = append(out, r.proc)
+		for _, v := range r.vals {
+			if v.Kind() == sqlval.KindString {
+				out = append(out, v.Str())
+			}
+		}
+	}
+	return out
+}
+
+// TestLoadedTextDoesNotAlias: the strings of a loaded table are a copy, so
+// overwriting the buffer it was decoded from (a file's contents, or the
+// wire frame a replica image came in) changes none of them.
+func TestLoadedTextDoesNotAlias(t *testing.T) {
+	src := newTestDB(t, "CREATE TABLE words (id INT PRIMARY KEY, w TEXT, n INT)")
+	for i := 0; i < 20; i++ {
+		mustExec(t, src, fmt.Sprintf("INSERT INTO words VALUES (%d, 'word-%d', %d)", i, i, i), ExecOptions{Proc: "writer"})
+	}
+	mustExec(t, src, "UPDATE words SET w = 'changed' WHERE id < 5", ExecOptions{Proc: "updater"})
+	srcTable, err := src.lookupTable("words")
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := encodeTable(srcTable, src.takeSnapshot(0), 0)
+	check := func(name string, db *DB, buf []byte) {
+		t.Helper()
+		tbl, err := db.lookupTable("words")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tableStrings(tbl)
+		for i := range want {
+			want[i] = strings.Clone(want[i])
+		}
+		for i := range buf {
+			buf[i] = 'X'
+		}
+		if got := tableStrings(tbl); strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Errorf("%s: strings changed with the source buffer:\n%q\nvs\n%q", name, want, got)
+		}
+	}
+
+	fs := aliasFS{newMapFS()}
+	fs.files["/data/words.tbl"] = append([]byte(nil), image...)
+	db := NewDB(nil)
+	if err := db.LoadDir(fs, "/data"); err != nil {
+		t.Fatal(err)
+	}
+	check("LoadDir", db, fs.files["/data/words.tbl"])
+
+	frame := append([]byte(nil), image...)
+	replica := NewDB(nil)
+	if _, err := replica.LoadTableImage(frame); err != nil {
+		t.Fatal(err)
+	}
+	check("LoadTableImage", replica, frame)
+}
+
+// TestDecodeTableChecksCounts: a row or dead-version count that cannot fit
+// in the bytes left is rejected before its arena is allocated.
+func TestDecodeTableChecksCounts(t *testing.T) {
+	header := []byte(tableFileMagic)
+	header = appendString(header, "t")
+	header = binary.AppendUvarint(header, 1)
+	header = appendString(header, "k")
+	header = append(header, byte(sqlval.KindInt), 1)
+	huge := binary.AppendUvarint(append([]byte(nil), header...), 1<<60)
+	deadHuge := binary.AppendUvarint(append([]byte(nil), header...), 0) // no live rows
+	deadHuge = binary.AppendUvarint(deadHuge, 0)                        // no indexes
+	deadHuge = binary.AppendUvarint(deadHuge, 1<<60)
+	for name, data := range map[string][]byte{"rows": huge, "dead versions": deadHuge} {
+		var err error
+		allocs := testing.AllocsPerRun(3, func() { _, err = decodeTable(data) })
+		if err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("%s: huge count: err = %v", name, err)
+		}
+		if allocs > 20 {
+			t.Errorf("%s: %v allocations before rejecting the count", name, allocs)
+		}
+	}
+}
+
+// TestEncodeTableReusesImageSize: encodeTable starts from the size of the
+// table's last image, so re-checkpointing a table that grew by less than an
+// eighth writes into the one buffer it allocates.
+func TestEncodeTableReusesImageSize(t *testing.T) {
+	db := newTestDB(t, "CREATE TABLE t (k INT PRIMARY KEY, s TEXT, f FLOAT, d DATE, b BOOLEAN)")
+	mustExec(t, db, "CREATE INDEX t_s ON t (s)", ExecOptions{})
+	for i := -300; i < 300; i += 3 {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES (%d, '%s', %d.5, DATE '2015-04-13', %v)",
+			i*i*i, strings.Repeat("x", (i+300)/8), i, i%2 == 0), ExecOptions{Proc: fmt.Sprintf("p%d", i)})
+	}
+	mustExec(t, db, "UPDATE t SET s = NULL WHERE k < 0", ExecOptions{})
+	tbl, err := db.lookupTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := encodeTable(tbl, db.takeSnapshot(0), 1)
+	mustExec(t, db, "INSERT INTO t VALUES (1000000000, 'one more', 0.5, NULL, TRUE)", ExecOptions{})
+	snap := db.takeSnapshot(0)
+	var next []byte
+	if allocs := testing.AllocsPerRun(5, func() { next = encodeTable(tbl, snap, 1) }); allocs != 1 {
+		t.Errorf("re-encoding after a small insert: %v allocations, want 1", allocs)
+	}
+	if len(next) <= len(first) {
+		t.Errorf("image did not grow with the insert: %d then %d bytes", len(first), len(next))
 	}
 }

@@ -286,7 +286,7 @@ func (db *DB) applyRedo(ix *replayIndex, e redoEntry) error {
 // and advances the row/statement/clock generators past everything the
 // restored state references.
 func (db *DB) finishRecovery() {
-	var maxTS uint64
+	var maxTS, maxRow uint64
 	var maxStmt int64
 	db.mu.RLock()
 	tables := make([]*Table, 0, len(db.tables))
@@ -295,10 +295,6 @@ func (db *DB) finishRecovery() {
 	}
 	db.mu.RUnlock()
 	for _, t := range tables {
-		if t.pkIndex != nil {
-			t.pkIndex = make(map[string]*storedRow, len(t.rows))
-		}
-		pk := t.Schema.PrimaryKeyIndex()
 		for _, r := range t.rows {
 			if r.version > maxTS {
 				maxTS = r.version
@@ -309,20 +305,16 @@ func (db *DB) finishRecovery() {
 			if r.stmt > maxStmt {
 				maxStmt = r.stmt
 			}
-			for {
-				cur := db.nextRow.Load()
-				if uint64(r.id) <= cur || db.nextRow.CompareAndSwap(cur, uint64(r.id)) {
-					break
-				}
-			}
-			if pk >= 0 && r.end == 0 {
-				t.pkIndex[r.vals[pk].GroupKey()] = r
-			}
+			maxRow = max(maxRow, uint64(r.id))
 		}
-		// WAL replay appends raw rows without touching secondary indexes;
-		// rebuild them now that the final version set is known.
+		// WAL replay appends raw rows without touching the indexes; rebuild
+		// them now that the final version set is known. Of two live
+		// versions that share a key, the later keeps the slot; recovery
+		// does not fail on it.
+		_ = t.rebuildPK()
 		t.rebuildIndexes()
 	}
+	raiseTo(&db.nextRow, maxRow)
 	for {
 		cur := db.nextStmt.Load()
 		if maxStmt <= cur || db.nextStmt.CompareAndSwap(cur, maxStmt) {

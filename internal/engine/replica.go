@@ -98,25 +98,14 @@ func (db *DB) ClearForReplication() {
 }
 
 // LoadTableImage installs one snapshot table image (replacing any same-named
-// table) and advances the row-id generator past its rows.
+// table) and advances the row-id generator and the clock past its rows.
 func (db *DB) LoadTableImage(data []byte) (string, error) {
-	t, maxRow, horizon, err := decodeTable(data)
+	lt, err := decodeTable(data)
 	if err != nil {
 		return "", fmt.Errorf("load table image: %w", err)
 	}
-	db.mu.Lock()
-	db.tables[t.Name] = t
-	db.mu.Unlock()
-	if horizon > db.vacuumHorizon.Load() {
-		db.vacuumHorizon.Store(horizon)
-	}
-	for {
-		cur := db.nextRow.Load()
-		if uint64(maxRow) <= cur || db.nextRow.CompareAndSwap(cur, uint64(maxRow)) {
-			break
-		}
-	}
-	return t.Name, nil
+	db.install(lt)
+	return lt.t.Name, nil
 }
 
 // FinishLoad aligns the statement-id generator and the logical clock with
@@ -239,12 +228,7 @@ func (db *DB) applyLive(ix *replayIndex, applyTxn int64, e redoEntry, maxTS *uin
 		if e.version > *maxTS {
 			*maxTS = e.version
 		}
-		for {
-			cur := db.nextRow.Load()
-			if uint64(e.id) <= cur || db.nextRow.CompareAndSwap(cur, uint64(e.id)) {
-				break
-			}
-		}
+		raiseTo(&db.nextRow, uint64(e.id))
 		for {
 			cur := db.nextStmt.Load()
 			if e.stmt <= cur || db.nextStmt.CompareAndSwap(cur, e.stmt) {

@@ -82,6 +82,10 @@ type Table struct {
 
 	// vacuumPruned counts versions this table lost to vacuum passes.
 	vacuumPruned atomic.Int64
+
+	// imageSize is the length of the table's last file image, encoded or
+	// decoded: the starting capacity of the next one (encodeTable).
+	imageSize atomic.Int64
 }
 
 func newTable(name string, schema Schema) *Table {
@@ -108,16 +112,8 @@ func (t *Table) RowCount() int {
 // insertRow validates and appends a row version, enforcing the primary key
 // (caller holds the table write lock).
 func (t *Table) insertRow(r *storedRow) error {
-	if len(r.vals) != len(t.Schema.Columns) {
-		return fmt.Errorf("table %s: row has %d values, schema has %d columns",
-			t.Name, len(r.vals), len(t.Schema.Columns))
-	}
-	for i, c := range t.Schema.Columns {
-		v, err := checkValue(c, r.vals[i])
-		if err != nil {
-			return fmt.Errorf("table %s: %w", t.Name, err)
-		}
-		r.vals[i] = v
+	if err := t.checkRow(r.vals); err != nil {
+		return err
 	}
 	if pk := t.Schema.PrimaryKeyIndex(); pk >= 0 {
 		key := r.vals[pk].GroupKey()
@@ -131,6 +127,63 @@ func (t *Table) insertRow(r *storedRow) error {
 	t.versions.Add(1)
 	t.liveRows.Add(1)
 	return nil
+}
+
+// checkRow validates a row against the schema, converting in place the
+// values checkValue converts.
+func (t *Table) checkRow(vals []sqlval.Value) error {
+	if len(vals) != len(t.Schema.Columns) {
+		return fmt.Errorf("table %s: row has %d values, schema has %d columns",
+			t.Name, len(vals), len(t.Schema.Columns))
+	}
+	for i, c := range t.Schema.Columns {
+		if k := vals[i].Kind(); k == c.Type || k == sqlval.KindNull {
+			continue // checkValue returns these unchanged
+		}
+		v, err := checkValue(c, vals[i])
+		if err != nil {
+			return fmt.Errorf("table %s: %w", t.Name, err)
+		}
+		vals[i] = v
+	}
+	return nil
+}
+
+// rebuildPK re-derives the primary-key index from the live versions, with
+// every key cut from one string instead of allocated on its own. When two
+// live versions share a key the later one keeps the slot, and the error
+// names the first such key.
+func (t *Table) rebuildPK() error {
+	pk := t.Schema.PrimaryKeyIndex()
+	if pk < 0 {
+		return nil
+	}
+	// Every key is at least a tag byte, so ends[i] == ends[i-1] marks a
+	// version that holds no key.
+	ends := make([]int, len(t.rows))
+	buf := make([]byte, 0, 9*len(t.rows)) // the size of a numeric key
+	for i, r := range t.rows {
+		if r.end == 0 {
+			buf = r.vals[pk].AppendKey(buf)
+		}
+		ends[i] = len(buf)
+	}
+	keys := string(buf)
+	t.pkIndex = make(map[string]*storedRow, len(t.rows))
+	var err error
+	start := 0
+	for i, r := range t.rows {
+		if ends[i] == start {
+			continue
+		}
+		n := len(t.pkIndex)
+		t.pkIndex[keys[start:ends[i]]] = r
+		start = ends[i]
+		if len(t.pkIndex) == n && err == nil {
+			err = fmt.Errorf("table %s: duplicate primary key %s", t.Name, r.vals[pk])
+		}
+	}
+	return err
 }
 
 // removeRow physically removes a version (insert rollback only), keeping the
